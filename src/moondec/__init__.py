@@ -3,12 +3,11 @@
 The package discovers rational relations s1(q^r) = f(s2(q)) between
 truncated q-series, computes all decompositions f = g o h of univariate
 rational functions over the rationals, and uses those decompositions to
-refine a relation graph, including modular-polynomial extraction via
-resultants.  All arithmetic is exact.
+refine a relation graph, including modular polynomials from pairs of
+relations at different powers.  All arithmetic is exact.
 """
 
-from moondec._kernels import BACKEND as KERNEL_BACKEND
-from moondec.bivariate import PolyOverPoly, resultant
+from moondec.bivariate import PolyOverPoly
 from moondec.decompose import (
     CandidateComponent,
     Decomposition,
@@ -63,7 +62,6 @@ from moondec.ratfun import (
 from moondec.relations import (
     LinearSystem,
     Relation,
-    RelationAnsatz,
     degree_from_areas,
     find_all_relations,
     find_relation,

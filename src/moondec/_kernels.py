@@ -1,12 +1,11 @@
-"""Pure-Python kernels: dense integer convolution and fraction-free elimination.
+"""Integer kernels: dense convolution and fraction-free elimination.
 
 These two loops dominate the runtime of everything in this package (series
 and polynomial products run through integer convolution after denominators
 are cleared; every linear solve runs through the Bareiss echelon form).
-A compiled twin with the same signatures lives in ``_ckernels.pyx``; the
-package selects one at import time.  Keep the two implementations in
-lockstep.
 """
+
+BACKEND = "python"  # the only backend; benchmark runs record it
 
 
 def poly_mul(a, b, mod=0, trunc=0):

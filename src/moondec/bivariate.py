@@ -1,18 +1,22 @@
 """Polynomials whose coefficients are themselves polynomials.
 
-Used for bivariate elimination: an element sum_i c_i(y) * x^i is stored
-densely by powers of the outer variable x.  The resultant with respect to x
-is a Sylvester determinant computed with fraction-free (Bareiss)
-elimination, because the coefficient ring Q[y] is not a field and ordinary
-Gaussian elimination would leave it.
+An element sum_i c_i(y) * x^i is stored densely by powers of the outer
+variable x; modular polynomials P(x, y) are values of this type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
-from moondec.errors import ZeroOuterError
-from moondec.polynomials import ONE, ZERO, Poly, poly_exact_div, poly_gcd
+from moondec.polynomials import (
+    ZERO,
+    Poly,
+    clear_denominators,
+    poly_exact_div,
+    poly_gcd,
+)
 
 
 @dataclass(frozen=True)
@@ -28,62 +32,9 @@ class PolyOverPoly:
             cs.pop()
         return PolyOverPoly(tuple(cs))
 
-    @staticmethod
-    def from_outer(p: Poly) -> PolyOverPoly:
-        """Lift a Poly in x to constant-in-y coefficients."""
-        return PolyOverPoly.from_coeffs([Poly.constant(c) for c in p.coeffs])
-
-    @staticmethod
-    def from_inner(p: Poly) -> PolyOverPoly:
-        """Embed a Poly in y as a degree-0 element in x."""
-        return PolyOverPoly.from_coeffs([p])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def outer_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
-
-    def __add__(self, other: PolyOverPoly) -> PolyOverPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyOverPoly.from_coeffs(
-            [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other: PolyOverPoly) -> PolyOverPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyOverPoly.from_coeffs(
-            [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other: PolyOverPoly) -> PolyOverPoly:
-        if self.is_zero or other.is_zero:
-            return PolyOverPoly(())
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PolyOverPoly.from_coeffs(out)
-
-    def transpose(self) -> PolyOverPoly:
-        """Swap the roles of the two variables.
-
-        Needed to chain eliminations: the resultant always eliminates the
-        outer variable, so a shared inner variable is moved outside first.
-        """
-        inner_deg = max((c.degree for c in self.coeffs if not c.is_zero),
-                        default=-1)
-        swapped = []
-        for j in range(inner_deg + 1):
-            swapped.append(Poly.from_coeffs(
-                [c.coeff(j) for c in self.coeffs]))
-        return PolyOverPoly.from_coeffs(swapped)
 
     def content_reduced(self) -> PolyOverPoly:
         """Divide out the gcd of the coefficients and canonicalize scaling.
@@ -106,61 +57,15 @@ class PolyOverPoly:
         else:
             reduced = list(self.coeffs)
         # clear rational content across all scalar coefficients
-        from fractions import Fraction
-        from math import gcd, lcm
-        fracs = [f for c in reduced for f in c.coeffs]
-        mult = lcm(*(f.denominator for f in fracs))
-        div = gcd(*(f.numerator * (mult // f.denominator) for f in fracs))
-        reduced = [c.scale(Fraction(mult, div)) for c in reduced]
+        ints, mult = clear_denominators([f for c in reduced for f in c.coeffs])
+        scale = Fraction(mult, gcd(*ints))
         if reduced[-1].lc < 0:
-            reduced = [c.scale(-1) for c in reduced]
+            scale = -scale
+        reduced = [c.scale(scale) for c in reduced]
         return PolyOverPoly(tuple(reduced))
 
     def __str__(self) -> str:
         return bivariate_text(self)
-
-
-def resultant(a: PolyOverPoly, b: PolyOverPoly) -> Poly:
-    """Sylvester resultant with respect to the outer variable.
-
-    Convention: resultant(x - a, x - b) = a - b.  The determinant is
-    evaluated by Bareiss elimination over the coefficient ring; every
-    division is exact by Sylvester's identity.
-    """
-    if a.is_zero:
-        raise ZeroOuterError("resultant of the zero polynomial")
-    if b.is_zero:
-        raise ZeroOuterError("resultant with the zero polynomial")
-    n, m = a.outer_degree, b.outer_degree
-    size = n + m
-    if size == 0:
-        return ONE
-    matrix = []
-    arev = list(reversed(a.coeffs))
-    brev = list(reversed(b.coeffs))
-    for i in range(m):
-        matrix.append([ZERO] * i + arev + [ZERO] * (m - 1 - i))
-    for i in range(n):
-        matrix.append([ZERO] * i + brev + [ZERO] * (n - 1 - i))
-    sign = 1
-    prev = ONE
-    for k in range(size - 1):
-        if matrix[k][k].is_zero:
-            pivot_row = next((i for i in range(k + 1, size)
-                              if not matrix[i][k].is_zero), None)
-            if pivot_row is None:
-                return ZERO
-            matrix[k], matrix[pivot_row] = matrix[pivot_row], matrix[k]
-            sign = -sign
-        piv = matrix[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = piv * matrix[i][j] - matrix[i][k] * matrix[k][j]
-                matrix[i][j] = poly_exact_div(num, prev)
-            matrix[i][k] = ZERO
-        prev = piv
-    det = matrix[size - 1][size - 1]
-    return det.scale(-1) if sign < 0 else det
 
 
 def bivariate_text(p: PolyOverPoly, outer: str = "x", inner: str = "y") -> str:

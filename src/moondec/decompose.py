@@ -22,6 +22,7 @@ from moondec.errors import (
     DifferentTargetError,
     InvalidInputError,
     NotNormalFormError,
+    VerificationFailureError,
 )
 from moondec.factorization import Factorization, factor
 from moondec.polynomials import ONE, Poly
@@ -30,6 +31,7 @@ from moondec.ratfun import (
     RatFun,
     compose,
     is_normal_form,
+    power_tables,
     to_normal_form,
 )
 
@@ -111,11 +113,7 @@ def left_component(f: RatFun, h: RatFun):
         raise DegreeMismatchError(
             f"degree {h.degree} does not divide degree {f.degree}")
     m = f.degree // h.degree
-    hn_pow = [ONE]
-    hd_pow = [ONE]
-    for _ in range(m):
-        hn_pow.append(hn_pow[-1] * h.num)
-        hd_pow.append(hd_pow[-1] * h.den)
+    hn_pow, hd_pow = power_tables(h, m)
     # columns: alpha_0..alpha_m then beta_0..beta_m
     cols = [-(f.den * (hn_pow[i] * hd_pow[m - i])) for i in range(m + 1)]
     cols += [f.num * (hn_pow[j] * hd_pow[m - j]) for j in range(m + 1)]
@@ -189,7 +187,9 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
         outer = u_inv.apply_to(dec.outer)
         inner = compose(dec.inner, v_inv_fun)
         candidate = Decomposition(outer, inner)
-        assert compose(outer, inner) == f
+        if compose(outer, inner) != f:
+            raise VerificationFailureError(
+                "de-normalized decomposition does not compose back to f")
         if not any(unit_linking(seen.inner, inner) is not None
                    for seen in found):
             found.append(candidate)

@@ -30,10 +30,6 @@ class BothZeroError(MoondecError):
     category = "both-inputs-zero"
 
 
-class ZeroOuterError(MoondecError):
-    category = "zero-input-in-outer-variable"
-
-
 # -- rational functions ----------------------------------------------------
 
 class ZeroDenominatorError(MoondecError):

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, isqrt
 
 from moondec import _kernels
-from moondec.errors import ZeroPolyError
+from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
     clear_denominators,
@@ -372,5 +372,7 @@ def factor(a: Poly) -> Factorization:
     factors = tuple(sorted(counts.items(),
                            key=lambda kv: (kv[0].degree, kv[0].coeffs)))
     result = Factorization(unit, factors)
-    assert result.expand() == a, "factorization does not re-expand to input"
+    if result.expand() != a:
+        raise VerificationFailureError(
+            "factorization does not re-expand to input")
     return result

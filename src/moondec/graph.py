@@ -28,6 +28,7 @@ from moondec.errors import (
     CatalogParseError,
     DuplicateNameError,
     IdenticalPowersError,
+    MoondecError,
     NonMonicPrincipalPartError,
     UnderdeterminedSystemError,
     UnknownNodeError,
@@ -56,6 +57,36 @@ def _parse_rational(text, lineno) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise CatalogParseError(f"zero denominator: {text!r}", lineno) from None
+    except ValueError as exc:  # more digits than int() accepts
+        raise CatalogParseError(str(exc), lineno) from None
+
+
+def _parse_coeffs(value, lineno) -> list[Fraction]:
+    if not isinstance(value, list):
+        raise CatalogParseError("coeffs must be an array", lineno)
+    return [_parse_rational(c, lineno) for c in value]
+
+
+def _parse_name(value, field, lineno) -> str:
+    if not isinstance(value, str) or not value:
+        raise CatalogParseError(f"{field} must be a nonempty string", lineno)
+    return value
+
+
+def _parse_count(value, field, lineno) -> int:
+    if type(value) is not int or value < 1:
+        raise CatalogParseError(
+            f"{field} must be a positive integer, got {value!r}", lineno)
+    return value
+
+
+def _check_fields(rec, required, optional, lineno):
+    missing = required - rec.keys()
+    if missing:
+        raise CatalogParseError(f"missing fields {sorted(missing)}", lineno)
+    unknown = rec.keys() - required - optional
+    if unknown:
+        raise CatalogParseError(f"unknown fields {sorted(unknown)}", lineno)
 
 
 @dataclass(frozen=True)
@@ -101,19 +132,17 @@ class ModularRelation:
     p: PolyOverPoly
 
 
-def _decode_lines(source):
+def _records(source):
+    """(line number, JSON object) for each record line of a document."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    return source.splitlines()
-
-
-def load_catalog(source) -> list[CatalogEntry]:
-    """Parse and validate a catalog document (see module docstring)."""
-    entries = []
-    seen = set()
-    for lineno, raw in enumerate(_decode_lines(source), 1):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogParseError(
+                "invalid UTF-8", source.count(b"\n", 0, exc.start) + 1) from None
+    for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -122,17 +151,21 @@ def load_catalog(source) -> list[CatalogEntry]:
         except json.JSONDecodeError as exc:
             raise CatalogParseError(f"bad JSON ({exc.msg}, offset {exc.pos})",
                                     lineno) from exc
+        except (ValueError, RecursionError) as exc:
+            # integers longer than int() accepts; nesting deeper than the stack
+            raise CatalogParseError(f"bad JSON ({exc})", lineno) from None
         if not isinstance(rec, dict):
             raise CatalogParseError("record must be an object", lineno)
-        missing = {"name", "area", "coeffs"} - rec.keys()
-        if missing:
-            raise CatalogParseError(f"missing fields {sorted(missing)}", lineno)
-        unknown = rec.keys() - {"name", "area", "coeffs", "lead"}
-        if unknown:
-            raise CatalogParseError(f"unknown fields {sorted(unknown)}", lineno)
-        name = rec["name"]
-        if not isinstance(name, str) or not name:
-            raise CatalogParseError("name must be a nonempty string", lineno)
+        yield lineno, rec
+
+
+def load_catalog(source) -> list[CatalogEntry]:
+    """Parse and validate a catalog document (see module docstring)."""
+    entries = []
+    seen = set()
+    for lineno, rec in _records(source):
+        _check_fields(rec, {"name", "area", "coeffs"}, {"lead"}, lineno)
+        name = _parse_name(rec["name"], "name", lineno)
         if name in seen:
             raise DuplicateNameError(f"duplicate catalog name {name!r}")
         lead = _parse_rational(rec.get("lead", "1"), lineno)
@@ -142,9 +175,7 @@ def load_catalog(source) -> list[CatalogEntry]:
         area = _parse_rational(rec["area"], lineno)
         if area <= 0:
             raise CatalogParseError(f"area must be positive, got {area}", lineno)
-        if not isinstance(rec["coeffs"], list):
-            raise CatalogParseError("coeffs must be an array", lineno)
-        coeffs = [_parse_rational(c, lineno) for c in rec["coeffs"]]
+        coeffs = _parse_coeffs(rec["coeffs"], lineno)
         seen.add(name)
         entries.append(CatalogEntry(name, area, QSeries.from_coeffs(coeffs)))
     return entries
@@ -331,7 +362,9 @@ def refine_graph(graph: RelationGraph):
     changed = True
     while changed:
         rounds += 1
-        assert rounds <= round_bound, "refinement failed to reach a fixpoint"
+        if rounds > round_bound:
+            raise VerificationFailureError(
+                "refinement failed to reach a fixpoint")
         changed = False
         emitted: dict[tuple, GraphEdge] = {}
 
@@ -470,29 +503,37 @@ def load_graph(source) -> RelationGraph:
     nodes = []
     edges = []
     seen = set()
-    for lineno, raw in enumerate(_decode_lines(source), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CatalogParseError(f"bad JSON ({exc.msg}, offset {exc.pos})",
-                                    lineno) from exc
+    for lineno, rec in _records(source):
         kind = rec.get("type")
         if kind == "node":
-            name = rec["name"]
+            _check_fields(rec, {"type", "name", "coeffs"}, {"origin"}, lineno)
+            name = _parse_name(rec["name"], "name", lineno)
             if name in seen:
                 raise DuplicateNameError(f"duplicate node {name!r}")
             seen.add(name)
-            coeffs = [_parse_rational(c, lineno) for c in rec["coeffs"]]
+            coeffs = _parse_coeffs(rec["coeffs"], lineno)
             origin = rec.get("origin", "catalog")
             if origin not in ("catalog", "synthetic"):
                 raise CatalogParseError(f"bad origin {origin!r}", lineno)
             nodes.append(GraphNode(name, QSeries.from_coeffs(coeffs), origin))
         elif kind == "edge":
-            edges.append(GraphEdge(rec["from"], rec["to"], int(rec["d"]),
-                                   int(rec["r"]), parse_ratfun(rec["f"])))
+            _check_fields(rec, {"type", "from", "to", "d", "r", "f"}, set(),
+                          lineno)
+            src = _parse_name(rec["from"], "from", lineno)
+            dst = _parse_name(rec["to"], "to", lineno)
+            degree = _parse_count(rec["d"], "d", lineno)
+            power = _parse_count(rec["r"], "r", lineno)
+            if not isinstance(rec["f"], str):
+                raise CatalogParseError("f must be a string", lineno)
+            try:
+                fun = parse_ratfun(rec["f"])
+            except MoondecError as exc:
+                raise CatalogParseError(f"bad function: {exc}", lineno) from exc
+            if fun.degree != degree:
+                raise CatalogParseError(
+                    f"edge {src}->{dst}: function degree {fun.degree} "
+                    f"does not match label d={degree}", lineno)
+            edges.append(GraphEdge(src, dst, degree, power, fun))
         else:
             raise CatalogParseError(f"unknown record type {kind!r}", lineno)
     graph = RelationGraph(tuple(nodes), tuple(edges))
@@ -500,10 +541,6 @@ def load_graph(source) -> RelationGraph:
     for e in edges:
         graph.node(e.src)
         graph.node(e.dst)
-        if e.fun.degree != e.degree:
-            raise CatalogParseError(
-                f"edge {e.src}->{e.dst}: function degree {e.fun.degree} "
-                f"does not match label d={e.degree}", 0)
         key = (e.src, e.dst, e.power)
         if key in seen_edges:
             raise DuplicateNameError(

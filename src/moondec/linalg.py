@@ -6,16 +6,10 @@ final back-substitution runs in ``Fraction`` arithmetic.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from moondec import _kernels
 from moondec.errors import UnderdeterminedSystemError
-
-
-def clear_row(row):
-    """Scale a row of Fractions to the smallest integer multiple."""
-    mult = lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * mult) for f in row]
+from moondec.polynomials import clear_denominators
 
 
 def solve_unique(aug_rows, nvars):
@@ -31,7 +25,7 @@ def solve_unique(aug_rows, nvars):
             if row[-1] != 0:
                 return None
         return []
-    int_rows = [clear_row(row) for row in aug_rows]
+    int_rows = [clear_denominators(row)[0] for row in aug_rows]
     echelon, pivots = _kernels.row_echelon(int_rows)
     if nvars in pivots:  # pivot in the right-hand side column
         return None
@@ -56,7 +50,7 @@ def nullspace(rows, nvars):
     One basis vector per free column, each with a 1 in its free coordinate;
     deterministic order (free columns ascending).
     """
-    int_rows = [clear_row(row) for row in rows]
+    int_rows = [clear_denominators(row)[0] for row in rows]
     echelon, pivots = _kernels.row_echelon(int_rows)
     pivot_set = set(pivots)
     basis = []

@@ -8,6 +8,11 @@
 
 Whitespace is insignificant.  The canonical printer (ratfun_text) emits text
 this grammar accepts, so printing and parsing round-trip exactly.
+
+Text can neither exhaust the stack nor spell a value exponentially larger
+than itself: nesting is capped (the parser recurses once per level), and so
+are integer literals and every power, the one operator that grows a value
+faster than its text.  A power is checked before it is computed.
 """
 
 from __future__ import annotations
@@ -15,11 +20,16 @@ from __future__ import annotations
 from moondec.errors import RatFunSyntaxError
 from moondec.ratfun import RatFun
 
+MAX_DEPTH = 100       # nested parentheses
+MAX_DEGREE = 512      # degree of the value of a power
+MAX_BITS = 12_000     # coefficient bit length of a literal or a power
+
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -41,6 +51,8 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise RatFunSyntaxError("expected an integer", start)
+        if (self.pos - start) * 3 > MAX_BITS:  # over 3 bits per digit
+            raise RatFunSyntaxError("integer literal is too long", start)
         return int(self.text[start:self.pos])
 
 
@@ -89,18 +101,38 @@ def _power(tok: _Tokenizer) -> RatFun:
         exponent = tok.take_int()
         if exponent < 1:
             raise RatFunSyntaxError("exponent must be a positive integer", at)
+        if value.degree * exponent > MAX_DEGREE:
+            raise RatFunSyntaxError(
+                f"power has degree above {MAX_DEGREE}", at)
+        if _bits(value) * exponent > MAX_BITS:
+            raise RatFunSyntaxError(
+                f"power has coefficients above {MAX_BITS} bits", at)
         value = value ** exponent
     return value
+
+
+def _bits(f: RatFun) -> int:
+    """Estimated coefficient bits of f^n per unit of n: the largest
+    coefficient's bits plus the bits of the term count."""
+    coeffs = f.num.coeffs + f.den.coeffs
+    top = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+              for c in coeffs)
+    return top + len(coeffs).bit_length()
 
 
 def _atom(tok: _Tokenizer) -> RatFun:
     ch = tok.peek()
     if ch == "(":
+        if tok.depth == MAX_DEPTH:
+            raise RatFunSyntaxError(
+                f"parentheses nested deeper than {MAX_DEPTH}", tok.pos)
         tok.take()
+        tok.depth += 1
         value = _expr(tok)
         if tok.peek() != ")":
             raise RatFunSyntaxError("expected ')'", tok.pos)
         tok.take()
+        tok.depth -= 1
         return value
     if ch == "x":
         tok.take()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from moondec import _kernels
 from moondec.errors import BothZeroError, ZeroDivisionPolyError, ZeroPolyError
@@ -79,10 +79,6 @@ class Poly:
     def constant(value) -> Poly:
         return Poly.from_coeffs([value])
 
-    @staticmethod
-    def monomial(degree: int, coeff=1) -> Poly:
-        return Poly.from_coeffs([0] * degree + [coeff])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -135,12 +131,6 @@ class Poly:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> Poly:
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def monic(self) -> Poly:
         if self.is_zero:
             raise ZeroPolyError("cannot normalize the zero polynomial")
@@ -155,13 +145,6 @@ class Poly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
-
-    def compose(self, inner: Poly) -> Poly:
-        """Polynomial composition self(inner(x)) by Horner."""
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
         return acc
 
     def __str__(self) -> str:
@@ -225,27 +208,12 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def _int_content(ints) -> int:
-    g = 0
-    for c in ints:
-        g = _gcd_int(g, c)
-        if g == 1:
-            break
-    return g
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _int_primitive(ints) -> list[int]:
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:
         return ints
-    g = _int_content(ints)
+    g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return [c // g for c in ints]

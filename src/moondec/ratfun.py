@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from moondec.errors import (
     ConstantInnerError,
+    VerificationFailureError,
     ZeroDenominatorError,
 )
 from moondec.polynomials import ONE, ZERO, Poly, X, poly_gcd, poly_exact_div, poly_text
@@ -51,10 +52,6 @@ class RatFun:
             den = poly_exact_div(den, g)
         scale = 1 / den.lc
         return RatFun(num.scale(scale), den.scale(scale))
-
-    @staticmethod
-    def from_poly(p: Poly) -> RatFun:
-        return RatFun(p, ONE)
 
     @staticmethod
     def identity() -> RatFun:
@@ -111,14 +108,24 @@ def make_ratfun(num: Poly, den: Poly) -> RatFun:
     return RatFun.make(num, den)
 
 
-def degree(f: RatFun) -> int:
-    return f.degree
-
-
 def ratfun_text(f: RatFun) -> str:
     if f.den == ONE:
         return poly_text(f.num)
     return f"({poly_text(f.num)})/({poly_text(f.den)})"
+
+
+def power_tables(h: RatFun, m: int) -> tuple[list[Poly], list[Poly]]:
+    """Powers num(h)^i and den(h)^i for i = 0..m.
+
+    Homogenizing g o h for deg g <= m gives the products
+    num(h)^i * den(h)^(m-i); callers multiply only the ones they need.
+    """
+    hn_pow = [ONE]
+    hd_pow = [ONE]
+    for _ in range(m):
+        hn_pow.append(hn_pow[-1] * h.num)
+        hd_pow.append(hd_pow[-1] * h.den)
+    return hn_pow, hd_pow
 
 
 def compose(g: RatFun, h: RatFun) -> RatFun:
@@ -126,11 +133,7 @@ def compose(g: RatFun, h: RatFun) -> RatFun:
     if h.is_constant:
         raise ConstantInnerError("inner function of a composition is constant")
     dg = max(len(g.num.coeffs), len(g.den.coeffs)) - 1
-    hn_pow = [ONE]
-    hd_pow = [ONE]
-    for _ in range(dg):
-        hn_pow.append(hn_pow[-1] * h.num)
-        hd_pow.append(hd_pow[-1] * h.den)
+    hn_pow, hd_pow = power_tables(h, dg)
     num = ZERO
     for i, c in enumerate(g.num.coeffs):
         if c:
@@ -140,7 +143,9 @@ def compose(g: RatFun, h: RatFun) -> RatFun:
         if c:
             den = den + (hn_pow[j] * hd_pow[dg - j]).scale(c)
     result = RatFun.make(num, den)
-    assert g.is_constant or result.degree == g.degree * h.degree
+    if not g.is_constant and result.degree != g.degree * h.degree:
+        raise VerificationFailureError(
+            "composition degree is not the product of the degrees")
     return result
 
 
@@ -149,7 +154,9 @@ def evaluate(f: RatFun, point):
     nv = f.num.evaluate(point)
     dv = f.den.evaluate(point)
     if dv == 0:
-        assert nv != 0, "indeterminate value on reduced function"
+        if nv == 0:
+            raise VerificationFailureError(
+                "indeterminate value on reduced function")
         return INFINITY
     return nv / dv
 
@@ -218,16 +225,6 @@ class MoebiusUnit:
         return RatFun.make(f.num.scale(self.a) + f.den.scale(self.b),
                            f.num.scale(self.c) + f.den.scale(self.d))
 
-    def apply_to_value(self, value):
-        if value is INFINITY:
-            if self.c == 0:
-                return INFINITY
-            return self.a / self.c
-        dv = self.c * value + self.d
-        if dv == 0:
-            return INFINITY
-        return (self.a * value + self.b) / dv
-
     def __str__(self) -> str:
         return ratfun_text(self.as_ratfun())
 
@@ -272,7 +269,9 @@ def to_normal_form(f: RatFun) -> tuple[MoebiusUnit, MoebiusUnit, RatFun]:
     w = 1 / (fa2 - fa)
     u = MoebiusUnit.make(-w, 1 + w * fa, 1, -fa)
     fbar = u.apply_to(compose(f, v.as_ratfun()))
-    assert fbar.num.degree > fbar.den.degree, \
-        "normalization must leave a full-multiplicity pole at infinity"
-    assert is_normal_form(fbar)
+    if fbar.num.degree <= fbar.den.degree:
+        raise VerificationFailureError(
+            "normalization must leave a full-multiplicity pole at infinity")
+    if not is_normal_form(fbar):
+        raise VerificationFailureError("normalization missed the normal form")
     return u, v, fbar

@@ -35,26 +35,6 @@ from moondec.series import (
 
 
 @dataclass(frozen=True)
-class RelationAnsatz:
-    """Shape of the monic candidate: e numerator and e-r denominator unknowns."""
-
-    e: int
-    r: int
-
-    @property
-    def num_unknowns(self) -> int:
-        return self.e
-
-    @property
-    def den_unknowns(self) -> int:
-        return self.e - self.r
-
-    @property
-    def unknowns(self) -> int:
-        return 2 * self.e - self.r
-
-
-@dataclass(frozen=True)
 class LinearSystem:
     matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
@@ -163,8 +143,8 @@ def _try_r(s1: QSeries, s2: QSeries, e: int, r: int,
     return Relation(r=r, f=f, e=e, verified_to=diff.prec)
 
 
-def find_relation(s1: QSeries, s2: QSeries, e: int):
-    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None."""
+def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
+    """Verified relations for r = 1..e, lowest r first, found lazily."""
     if e < 1:
         raise InvalidInputError("degree must be a positive integer")
     need = 2 * e + 1
@@ -174,10 +154,19 @@ def find_relation(s1: QSeries, s2: QSeries, e: int):
             f"(have {s1.prec} and {s2.prec})")
     powers = _series_powers(s2, e)
     for r in range(1, e + 1):
-        rel = _try_r(s1, s2, e, r, powers)
+        try:
+            rel = _try_r(s1, s2, e, r, powers)
+        except UnderdeterminedSystemError:
+            if not skip_underdetermined:
+                raise
+            continue
         if rel is not None:
-            return rel
-    return None
+            yield rel
+
+
+def find_relation(s1: QSeries, s2: QSeries, e: int):
+    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None."""
+    return next(_scan(s1, s2, e, False), None)
 
 
 def find_all_relations(s1: QSeries, s2: QSeries, e: int,
@@ -189,22 +178,4 @@ def find_all_relations(s1: QSeries, s2: QSeries, e: int,
     keeps going, so that relations at other powers (the multi-relation
     case feeding modular polynomials) are still reported.
     """
-    if e < 1:
-        raise InvalidInputError("degree must be a positive integer")
-    need = 2 * e + 1
-    if s1.prec < need or s2.prec < need:
-        raise InsufficientPrecisionError(
-            f"series must be certified through q^{need} "
-            f"(have {s1.prec} and {s2.prec})")
-    powers = _series_powers(s2, e)
-    out = []
-    for r in range(1, e + 1):
-        try:
-            rel = _try_r(s1, s2, e, r, powers)
-        except UnderdeterminedSystemError:
-            if not skip_underdetermined:
-                raise
-            continue
-        if rel is not None:
-            out.append(rel)
-    return out
+    return list(_scan(s1, s2, e, skip_underdetermined))

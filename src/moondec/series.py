@@ -27,13 +27,15 @@ from math import gcd
 from moondec.errors import (
     EmptyPrecisionError,
     LeadingMismatchError,
+    NoRationalSolutionError,
     NonMonicPrincipalPartError,
     PrecisionExhaustedError,
     SeriesZeroDivisionError,
+    VerificationFailureError,
     ZeroSeriesError,
 )
 from moondec.polynomials import mul_fraction_seqs
-from moondec.ratfun import MoebiusUnit, RatFun
+from moondec.ratfun import RatFun
 
 EXACT = 10 ** 9  # precision sentinel: exactly known, finitely supported
 
@@ -137,7 +139,8 @@ class GeneralLaurent:
     def __mul__(self, other: GeneralLaurent) -> GeneralLaurent:
         if self.is_exact_zero or other.is_exact_zero:
             return GeneralLaurent(0, (), EXACT)
-        la, lb = self._lead_for_rules(), other._lead_for_rules()
+        # a zero-to-prec series stores lead = prec + 1: it acts as O(q^lead)
+        la, lb = self.lead, other.lead
         if self.prec == EXACT and other.prec == EXACT:
             prec = EXACT
         elif self.prec == EXACT:
@@ -159,10 +162,6 @@ class GeneralLaurent:
         if prec != EXACT and len(cs) < length:
             cs.extend([Fraction(0)] * (length - len(cs)))
         return GeneralLaurent.make(lead, cs, prec)
-
-    def _lead_for_rules(self) -> int:
-        # zero-to-prec behaves as O(q^{prec+1}); its lead is stored that way
-        return self.lead
 
     def __truediv__(self, other: GeneralLaurent) -> GeneralLaurent:
         if other.is_zero:
@@ -199,14 +198,6 @@ class GeneralLaurent:
                     acc -= quot[i - j] * bv[j]
             quot[i] = acc / b0
         return GeneralLaurent.make(lead, quot, prec)
-
-    def apply_unit(self, u: MoebiusUnit) -> GeneralLaurent:
-        """u(self) for a Moebius unit u = (a*t + b)/(c*t + d)."""
-        num = self.scale(u.a).add_scalar(u.b)
-        if u.c == 0:
-            return num.scale(1 / u.d)
-        den = self.scale(u.c).add_scalar(u.d)
-        return num / den
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -348,8 +339,8 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     result = QSeries(tuple(known))
     check = eval_ratfun_at_series(f, result)
     bound = min(check.prec, target.prec)
-    assert all(check.coeff(k) == target.coeff(k)
-               for k in range(-d, bound + 1)), "forward check failed"
+    if any(check.coeff(k) != target.coeff(k) for k in range(-d, bound + 1)):
+        raise VerificationFailureError("forward check failed")
     return result
 
 

@@ -1,9 +1,8 @@
 """Independent oracles for expected test values.
 
 Everything here deliberately avoids the library's own code paths: naive
-coefficient arithmetic, explicit minor-expansion determinants, brute-force
-coefficient searches, and the Eisenstein/eta construction of the classical
-j expansion.  Frozen expected values in the tests were computed with these.
+coefficient arithmetic, brute-force coefficient searches, and the
+Eisenstein/eta construction of the classical j expansion.  Frozen expected values in the tests were computed with these.
 """
 
 from fractions import Fraction
@@ -55,41 +54,6 @@ FLAGSHIP_NUM = naive_mul(
     naive_mul(naive_pow([0, 1], 3), naive_pow([6, 1], 3)),
     naive_pow([36, -6, 1], 3))
 FLAGSHIP_DEN = naive_mul(naive_pow([-3, 1], 3), naive_pow([9, 3, 1], 3))
-
-
-# -- determinants by explicit minor expansion ---------------------------------
-
-def minor_det(matrix):
-    """Determinant by first-row expansion; entries support + * -."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * minor_det(sub)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def sylvester_matrix(a, b):
-    """Sylvester matrix of coefficient lists (ascending order)."""
-    n, m = len(a) - 1, len(b) - 1
-    size = n + m
-    arev = list(reversed(a))
-    brev = list(reversed(b))
-    rows = []
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in arev]
-                    + [Fraction(0)] * (m - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in brev]
-                    + [Fraction(0)] * (n - 1 - i))
-    return rows
 
 
 # -- brute-force irreducibility of integer polynomials ------------------------

@@ -194,3 +194,24 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "degrees 2*2: x^2 o x^2\n"
+
+
+def test_chains_malformed_graph_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"type":"node","name":"a","coeffs":[]}\n{"type":"node"}\n')
+    code, out, err = run_cli(capsys, "chains", "--in", str(bad),
+                             "--from", "a", "--to", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse-error: line 2:")
+    assert "Traceback" not in err
+
+
+def test_optimized_interpreter_same_output(capsys):
+    """Invariant checks are not asserts, so -O changes nothing."""
+    argv = ["decompose", FLAGSHIP_TEXT, "--chains"]
+    code, out, _ = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-O", "-m", "moondec.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert code == proc.returncode == 0
+    assert proc.stdout == out

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from moondec.errors import ZeroPolyError
-from moondec.factorization import factor
+from moondec.errors import VerificationFailureError, ZeroPolyError
+from moondec.factorization import Factorization, factor
 from moondec.polynomials import ONE, Poly, X
 from oracles import FLAGSHIP_NUM, has_integer_factor_pair, naive_eval
 
@@ -111,3 +111,11 @@ def test_degree_72_cyclotomic_product():
 def test_determinism():
     poly = P(-6, 1, 5, -2, 1, 1)
     assert factor(poly) == factor(poly)
+
+
+def test_failed_invariant_is_a_verification_failure(monkeypatch):
+    # the re-expansion check must hold under python -O too, so it cannot
+    # be an assert
+    monkeypatch.setattr(Factorization, "expand", lambda self: ONE)
+    with pytest.raises(VerificationFailureError):
+        factor(P(-1, 0, 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from moondec.bivariate import PolyOverPoly, bivariate_text
 from moondec.errors import (
     CatalogParseError,
     DuplicateNameError,
@@ -27,6 +28,7 @@ from moondec.graph import (
     refine_graph,
 )
 from moondec.parsing import parse_ratfun
+from moondec.polynomials import ONE, Poly
 from moondec.ratfun import compose, ratfun_text
 from moondec.series import (
     QSeries,
@@ -349,10 +351,29 @@ def test_load_graph_rejects_duplicate_or_mislabeled_edges(
                      if '"type":"edge"' in l)
     with pytest.raises(DuplicateNameError):
         load_graph(blob + edge_line + "\n")
-    bad = json.loads(edge_line)
-    bad["d"] = bad["d"] + 1
-    with pytest.raises(CatalogParseError):
-        load_graph(blob + json.dumps(bad) + "\n")
+    edge = json.loads(edge_line)
+    node = json.loads(blob.splitlines()[0])
+    line = len(blob.splitlines()) + 1
+    malformed = [
+        {**edge, "d": edge["d"] + 1},       # label disagrees with f
+        {"type": "node"},                   # missing fields
+        [1],                                # not an object
+        {**edge, "d": "x"},                 # non-integer label
+        {**edge, "r": 0},
+        {**node, "name": [1]},              # unhashable name
+        {**node, "name": "fresh", "coeffs": "1"},
+        {**edge, "f": 5},                   # non-string function
+        {**edge, "f": "x^"},
+        {**edge, "from": None},
+        {**edge, "extra": 1},
+    ]
+    for bad in malformed:
+        with pytest.raises(CatalogParseError) as err:
+            load_graph(blob + json.dumps(bad) + "\n")
+        assert err.value.line == line, bad
+    with pytest.raises(CatalogParseError) as err:
+        load_graph(blob.encode() + b"\xff\n")
+    assert err.value.line == line
 
 
 def test_chains_trivial_cases():
@@ -400,15 +421,9 @@ def test_modular_polynomial_is_shared_value_resultant():
     assert ratio.is_constant() and ratio != 0
 
 
-def test_transpose_swaps_variables():
-    from moondec.bivariate import PolyOverPoly
-    from moondec.polynomials import ONE, Poly
-    # x - y^2 - 4y - 2  ->  -y^2 - 4y + (x - 2)
-    p = modular_polynomial(parse_ratfun("x"), 2, PHI, 1)
-    swapped = p.transpose()
-    assert swapped.outer_degree == 2
-    assert swapped.transpose() == p
-    assert str(swapped) == "-x^2-4*x+y-2"
+def test_bivariate_text():
+    q = PolyOverPoly.from_coeffs([Poly.from_coeffs([7, 5, -1]), ONE])
+    assert bivariate_text(q) == "x-y^2+5*y+7"
 
 
 def test_modular_polynomial_vanishes_on_planted_double():

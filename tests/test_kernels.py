@@ -1,59 +1,38 @@
-"""Both kernel backends must agree with each other and with naive oracles."""
+"""The integer kernels and the exact solver against naive oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from moondec._kernels import _pykernels
 from moondec import _kernels, linalg
+from moondec.polynomials import clear_denominators
 from oracles import naive_mul
 
-try:
-    from moondec._kernels import _ckernels
-    BACKENDS = [("python", _pykernels), ("cython", _ckernels)]
-except ImportError:
-    BACKENDS = [("python", _pykernels)]
 
-
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_poly_mul_against_naive(name, impl):
+def test_poly_mul_against_naive():
     rng = random.Random(7)
     for _ in range(200):
         a = [rng.randint(-99, 99) for _ in range(rng.randint(0, 12))]
         b = [rng.randint(-99, 99) for _ in range(rng.randint(0, 12))]
         expect = [int(c) for c in naive_mul(a, b)]
         # naive_mul trims trailing zeros; pad back for comparison
-        full = impl.poly_mul(a, b)
+        full = _kernels.poly_mul(a, b)
         while full and full[-1] == 0:
             full.pop()
         assert full == expect
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_poly_mul_mod_and_trunc(name, impl):
+def test_poly_mul_mod_and_trunc():
     rng = random.Random(8)
     for _ in range(100):
         a = [rng.randint(0, 50) for _ in range(rng.randint(1, 10))]
         b = [rng.randint(0, 50) for _ in range(rng.randint(1, 10))]
         m = rng.choice([2, 3, 5, 7, 97])
         t = rng.randint(1, 8)
-        full = impl.poly_mul(a, b)
-        assert impl.poly_mul(a, b, m) == [c % m for c in full]
-        assert impl.poly_mul(a, b, 0, t) == full[:t]
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels unavailable")
-def test_backends_agree():
-    rng = random.Random(9)
-    for _ in range(100):
-        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
-        py = _pykernels.row_echelon(rows)
-        cy = _ckernels.row_echelon(rows)
-        assert py == cy
-        a = [rng.randint(-999, 999) for _ in range(rng.randint(0, 9))]
-        b = [rng.randint(-999, 999) for _ in range(rng.randint(0, 9))]
-        assert _pykernels.poly_mul(a, b) == _ckernels.poly_mul(a, b)
+        full = _kernels.poly_mul(a, b)
+        assert _kernels.poly_mul(a, b, m) == [c % m for c in full]
+        assert _kernels.poly_mul(a, b, 0, t) == full[:t]
 
 
 def _fraction_gauss_solve(rows, rhs):
@@ -120,5 +99,5 @@ def test_nullspace_vectors_annihilate():
                 assert sum(r * v for r, v in zip(row, vec)) == 0
         # rank-nullity: dim(null) = n - rank
         echelon, pivots = _kernels.row_echelon(
-            [linalg.clear_row(r) for r in rows])
+            [clear_denominators(r)[0] for r in rows])
         assert len(basis) == n - len(pivots)

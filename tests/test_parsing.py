@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from moondec import parsing
 from moondec.errors import RatFunSyntaxError, ZeroDenominatorError
 from moondec.parsing import parse_ratfun
 from moondec.polynomials import Poly, X, ONE
@@ -59,3 +62,29 @@ def test_print_parse_round_trip(flagship):
     ]
     for f in cases:
         assert parse_ratfun(ratfun_text(f)) == f
+
+
+def _rejected_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(RatFunSyntaxError) as err:
+        parse_ratfun(text)
+    assert time.perf_counter() - start < 1.0
+    return err.value
+
+
+def test_nesting_depth_is_bounded():
+    depth = parsing.MAX_DEPTH
+    assert parse_ratfun("(" * depth + "x" + ")" * depth) == RatFun.identity()
+    err = _rejected_fast("(" * (depth + 1) + "x" + ")" * (depth + 1))
+    assert err.position == depth
+    _rejected_fast("(" * 3000 + "x" + ")" * 3000)
+
+
+def test_oversized_powers_rejected_before_computing():
+    assert parse_ratfun(f"x^{parsing.MAX_DEGREE}").degree == parsing.MAX_DEGREE
+    _rejected_fast(f"x^{parsing.MAX_DEGREE + 1}")
+    _rejected_fast("(x+1)^123456789123456789")
+    _rejected_fast("((x^2+1)^20)^200")
+    _rejected_fast("7^10000000")
+    _rejected_fast("(123456789*x)^500")
+    _rejected_fast("1" * 5000)

@@ -5,6 +5,7 @@ import pytest
 
 from moondec.errors import (
     LeadingMismatchError,
+    NoRationalSolutionError,
     SeriesZeroDivisionError,
     ZeroSeriesError,
 )
@@ -127,6 +128,14 @@ def test_inner_solve_leading_mismatch():
     with pytest.raises(LeadingMismatchError):
         inner_series_solve(parse_ratfun("(x^2+1)/x^2"),
                            L(-1, [1, 0, 0], 1))
+
+
+def test_inner_solve_leading_coefficient_unreachable():
+    # 2*s^2 leads with 2/q^2 for every monic s = 1/q + ...
+    with pytest.raises(NoRationalSolutionError) as err:
+        inner_series_solve(parse_ratfun("2*x^2"),
+                           GeneralLaurent.make(-2, [1, 0, 0, 0], 1))
+    assert err.value.category == "no-rational-solution"
 
 
 def test_inner_solve_round_trip_random():
