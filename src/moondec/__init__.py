@@ -41,22 +41,19 @@ from moondec.parsing import parse_ratfun
 from moondec.polynomials import (
     MINUS_INFINITY,
     Poly,
-    Rational,
     poly_divrem,
     poly_gcd,
     squarefree_decomposition,
 )
 from moondec.ratfun import (
     INFINITY,
-    MoebiusUnit,
     RatFun,
     compose,
     evaluate,
-    evaluate_at_infinity,
     is_normal_form,
-    make_ratfun,
     ratfun_text,
     to_normal_form,
+    unit,
     unit_inverse,
 )
 from moondec.relations import (
@@ -74,7 +71,6 @@ from moondec.series import (
     eval_ratfun_at_series,
     inner_series_solve,
     power_support,
-    series_arith,
     substitute_power,
 )
 

@@ -136,35 +136,26 @@ def _write_report(path, records):
 def _cmd_decompose(args) -> int:
     f = parse_ratfun(args.function)
     if args.chains:
-        chains = all_chains(f)
-        for chain in chains:
-            degrees = "*".join(str(d) for d in chain.degrees)
-            body = " o ".join(ratfun_text(c) for c in chain.components)
-            print(f"chain length {len(chain.components)} degrees {degrees}: "
-                  f"{body}")
-        if args.verify:
-            for chain in chains:
-                parsed = [parse_ratfun(ratfun_text(c))
-                          for c in chain.components]
-                recomposed = parsed[-1]
-                for part in reversed(parsed[:-1]):
-                    recomposed = compose(part, recomposed)
-                if recomposed != f:
-                    raise VerificationFailureError(
-                        "printed chain does not compose back to the input")
-        return 0
-    decs = decompose_one_level(f)
-    if not decs:
-        print("indecomposable")
-        return 3
-    for dec in decs:
-        print(f"degrees {dec.outer.degree}*{dec.inner.degree}: "
-              f"{ratfun_text(dec.outer)} o {ratfun_text(dec.inner)}")
+        chains = [chain.components for chain in all_chains(f)]
+        for parts in chains:
+            degrees = "*".join(str(c.degree) for c in parts)
+            body = " o ".join(ratfun_text(c) for c in parts)
+            print(f"chain length {len(parts)} degrees {degrees}: {body}")
+    else:
+        chains = [(dec.outer, dec.inner) for dec in decompose_one_level(f)]
+        if not chains:
+            print("indecomposable")
+            return 3
+        for g, h in chains:
+            print(f"degrees {g.degree}*{h.degree}: "
+                  f"{ratfun_text(g)} o {ratfun_text(h)}")
     if args.verify:
-        for dec in decs:
-            g = parse_ratfun(ratfun_text(dec.outer))
-            h = parse_ratfun(ratfun_text(dec.inner))
-            if compose(g, h) != f:
+        for parts in chains:
+            parsed = [parse_ratfun(ratfun_text(c)) for c in parts]
+            recomposed = parsed[-1]
+            for part in reversed(parsed[:-1]):
+                recomposed = compose(part, recomposed)
+            if recomposed != f:
                 raise VerificationFailureError(
                     "printed decomposition does not compose back to the input")
     return 0
@@ -318,10 +309,29 @@ _COMMANDS = {
 }
 
 
+def _function_text_last(argv: list[str]) -> list[str]:
+    """Put a decompose function text that starts with '-' behind '--'.
+
+    argparse takes every word that starts with '-' for an option, so
+    'decompose -x^4' would lose its function.  decompose declares no short
+    option but -h, so any other word with a single leading '-' is the
+    function text; words starting with '--' stay options.
+    """
+    if argv[:1] != ["decompose"] or "--" in argv:
+        return argv
+    texts = [a for a in argv[1:]
+             if a.startswith("-") and not a.startswith("--") and a != "-h"]
+    if not texts:
+        return argv
+    rest = [a for a in argv[1:] if a not in texts]
+    return ["decompose", *rest, "--", *texts]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_function_text_last(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

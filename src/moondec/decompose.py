@@ -27,12 +27,13 @@ from moondec.errors import (
 from moondec.factorization import Factorization, factor
 from moondec.polynomials import ONE, Poly
 from moondec.ratfun import (
-    MoebiusUnit,
     RatFun,
     compose,
     is_normal_form,
     power_tables,
     to_normal_form,
+    unit,
+    unit_inverse,
 )
 
 
@@ -98,6 +99,15 @@ def candidate_components(fbar: RatFun) -> list[CandidateComponent]:
     return out
 
 
+def _first_null_vector(cols: list[Poly]):
+    """First null-space basis vector of the matrix whose column j holds the
+    coefficients of cols[j]; None when the columns are independent."""
+    top = max((c.degree for c in cols if not c.is_zero), default=0)
+    rows = [[c.coeff(k) for c in cols] for k in range(top + 1)]
+    basis = linalg.nullspace(rows, len(cols))
+    return basis[0] if basis else None
+
+
 def left_component(f: RatFun, h: RatFun):
     """The unique g with f = g o h, or None.
 
@@ -117,12 +127,9 @@ def left_component(f: RatFun, h: RatFun):
     # columns: alpha_0..alpha_m then beta_0..beta_m
     cols = [-(f.den * (hn_pow[i] * hd_pow[m - i])) for i in range(m + 1)]
     cols += [f.num * (hn_pow[j] * hd_pow[m - j]) for j in range(m + 1)]
-    top = max((c.degree for c in cols if not c.is_zero), default=0)
-    rows = [[c.coeff(k) for c in cols] for k in range(top + 1)]
-    basis = linalg.nullspace(rows, len(cols))
-    if not basis:
+    vec = _first_null_vector(cols)
+    if vec is None:
         return None
-    vec = basis[0]
     num = Poly.from_coeffs(vec[:m + 1])
     den = Poly.from_coeffs(vec[m + 1:])
     if den.is_zero:
@@ -142,18 +149,15 @@ def unit_linking(h1: RatFun, h2: RatFun):
     """
     if h1.degree != h2.degree:
         return None
-    cols = [h1.num * h2.den, h1.den * h2.den,
-            -(h1.num * h2.num), -(h1.den * h2.num)]
-    top = max((c.degree for c in cols if not c.is_zero), default=0)
-    rows = [[c.coeff(k) for c in cols] for k in range(top + 1)]
-    basis = linalg.nullspace(rows, 4)
-    if not basis:
+    vec = _first_null_vector([h1.num * h2.den, h1.den * h2.den,
+                              -(h1.num * h2.num), -(h1.den * h2.num)])
+    if vec is None:
         return None
-    a, b, c, d = basis[0]
+    a, b, c, d = vec
     if a * d - b * c == 0:
         return None
-    w = MoebiusUnit.make(a, b, c, d)
-    return w if w.apply_to(h1) == h2 else None
+    w = unit(a, b, c, d)
+    return w if compose(w, h1) == h2 else None
 
 
 def equivalent(d1: Decomposition, d2: Decomposition) -> bool:
@@ -174,8 +178,8 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     if f.degree < 2:
         raise InvalidInputError("decomposition needs degree >= 2")
     u, v, fbar = to_normal_form(f)
-    u_inv = u.inverse()
-    v_inv_fun = v.inverse().as_ratfun()
+    u_inv = unit_inverse(u)
+    v_inv = unit_inverse(v)
     found: list[Decomposition] = []
     for cand in candidate_components(fbar):
         h = RatFun.make(cand.a_part, cand.b_part)
@@ -184,8 +188,8 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
         dec = left_component(fbar, h)
         if dec is None:
             continue
-        outer = u_inv.apply_to(dec.outer)
-        inner = compose(dec.inner, v_inv_fun)
+        outer = compose(u_inv, dec.outer)
+        inner = compose(dec.inner, v_inv)
         candidate = Decomposition(outer, inner)
         if compose(outer, inner) != f:
             raise VerificationFailureError(
@@ -210,7 +214,7 @@ def chains_equivalent(c1, c2) -> bool:
         w = unit_linking(c1[i], c2[i])
         if w is None:
             return False
-        c1[i - 1] = compose(c1[i - 1], w.inverse().as_ratfun())
+        c1[i - 1] = compose(c1[i - 1], unit_inverse(w))
     return c1[0] == c2[0]
 
 

@@ -18,6 +18,7 @@ Blank lines and lines starting with '#' are ignored.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from moondec.errors import (
     VerificationFailureError,
 )
 from moondec.parsing import parse_ratfun
-from moondec.ratfun import MoebiusUnit, RatFun, compose, ratfun_text
+from moondec.ratfun import RatFun, compose, ratfun_text, unit, unit_inverse
 from moondec.relations import degree_from_areas, find_relation
 from moondec.series import (
     EXACT,
@@ -215,15 +216,17 @@ def build_graph(catalog, e_max: int, jobs: int = 1):
 
     Self-pairs are skipped (identity relations carry no information);
     per-pair failures become skip records, never errors.  Pairs are
-    independent, so jobs > 1 runs them in worker processes; the merged
-    edge list is sorted, making the output schedule-independent.
+    independent, so jobs > 1 runs them in worker processes, at most one
+    per pair and per CPU; the merged edge list is sorted, making the output
+    schedule-independent.
     """
     nodes = tuple(GraphNode(c.name, c.series, "catalog") for c in catalog)
     tasks = [(src, dst, e_max) for src in catalog for dst in catalog
              if src.name != dst.name]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_relate_pair, tasks))
     else:
         results = [_relate_pair(t) for t in tasks]
@@ -246,17 +249,14 @@ def _series_monic_unit(t: GeneralLaurent):
     if t.is_zero:
         return None
     if t.lead < 0:
-        lc = t.coeffs[0]
-        if lc == 1:
-            return MoebiusUnit.identity()
-        return MoebiusUnit.make(1, 0, 0, lc)
+        return unit(1, 0, 0, t.coeffs[0])
     if t.lead == 0:
         c0 = t.coeff(0)
         rest = t.add_scalar(-c0)
         if rest.is_zero:
             return None
-        return MoebiusUnit.make(0, rest.coeffs[0], 1, -c0)
-    return MoebiusUnit.make(0, t.coeffs[0], 1, 0)
+        return unit(0, rest.coeffs[0], 1, -c0)
+    return unit(0, t.coeffs[0], 1, 0)
 
 
 def _reindex(t: GeneralLaurent, s: int) -> QSeries:
@@ -321,8 +321,8 @@ class _Refiner:
         if w is None:
             self.warn(edge, "inner-series-constant-to-precision")
             return None
-        inner = w.apply_to(dec.inner)
-        outer = compose(dec.outer, w.inverse().as_ratfun())
+        inner = compose(w, dec.inner)
+        outer = compose(dec.outer, unit_inverse(w))
         t = eval_ratfun_at_series(inner, dst_series)
         s = power_support(t)
         if s != -t.lead:

@@ -12,36 +12,43 @@ from moondec.errors import UnderdeterminedSystemError
 from moondec.polynomials import clear_denominators
 
 
+def _echelon(rows):
+    return _kernels.row_echelon([clear_denominators(row)[0] for row in rows])
+
+
+def _null_vector(echelon, pivots, free_col, ncols):
+    """The null vector with 1 at ``free_col`` and 0 at the other free
+    columns, by back-substitution through the pivot rows."""
+    vec = [Fraction(0)] * ncols
+    vec[free_col] = Fraction(1)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        row = echelon[k]
+        acc = Fraction(0)
+        for j in range(c + 1, ncols):
+            if row[j] and vec[j]:
+                acc += row[j] * vec[j]
+        vec[c] = -acc / row[c]
+    return vec
+
+
 def solve_unique(aug_rows, nvars):
     """Solve an augmented system ``[A | b]`` with ``nvars`` unknowns.
 
     Returns the unique solution as a list of Fractions, or None when the
     system is inconsistent.  A consistent system of rank < nvars raises
     UnderdeterminedSystemError: a solution that is not pinned down by the
-    data must not be reported.
+    data must not be reported.  A x = b iff [A | b] (-x, 1) = 0, so x is
+    read off the null vector of the right-hand side column.
     """
-    if nvars == 0:
-        for row in aug_rows:
-            if row[-1] != 0:
-                return None
-        return []
-    int_rows = [clear_denominators(row)[0] for row in aug_rows]
-    echelon, pivots = _kernels.row_echelon(int_rows)
+    echelon, pivots = _echelon(aug_rows)
     if nvars in pivots:  # pivot in the right-hand side column
         return None
     if len(pivots) < nvars:
         raise UnderdeterminedSystemError(
             f"system has rank {len(pivots)} < {nvars} unknowns")
-    sol = [Fraction(0)] * nvars
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        row = echelon[k]
-        acc = Fraction(row[nvars])
-        for j in range(c + 1, nvars):
-            if row[j] and sol[j]:
-                acc -= row[j] * sol[j]
-        sol[c] = acc / row[c]
-    return sol
+    vec = _null_vector(echelon, pivots, nvars, nvars + 1)
+    return [-v for v in vec[:nvars]]
 
 
 def nullspace(rows, nvars):
@@ -50,22 +57,7 @@ def nullspace(rows, nvars):
     One basis vector per free column, each with a 1 in its free coordinate;
     deterministic order (free columns ascending).
     """
-    int_rows = [clear_denominators(row)[0] for row in rows]
-    echelon, pivots = _kernels.row_echelon(int_rows)
+    echelon, pivots = _echelon(rows)
     pivot_set = set(pivots)
-    basis = []
-    for free_col in range(nvars):
-        if free_col in pivot_set:
-            continue
-        vec = [Fraction(0)] * nvars
-        vec[free_col] = Fraction(1)
-        for k in reversed(range(len(pivots))):
-            c = pivots[k]
-            row = echelon[k]
-            acc = Fraction(0)
-            for j in range(c + 1, nvars):
-                if row[j] and vec[j]:
-                    acc += row[j] * vec[j]
-            vec[c] = -acc / row[c]
-        basis.append(vec)
-    return basis
+    return [_null_vector(echelon, pivots, free_col, nvars)
+            for free_col in range(nvars) if free_col not in pivot_set]

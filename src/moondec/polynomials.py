@@ -18,8 +18,6 @@ from math import gcd, lcm
 from moondec import _kernels
 from moondec.errors import BothZeroError, ZeroDivisionPolyError, ZeroPolyError
 
-Rational = Fraction
-
 
 class _MinusInfinity:
     """Degree of the zero polynomial; compares below every integer."""

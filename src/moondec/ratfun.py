@@ -5,17 +5,18 @@ monic.  Equality of values is therefore equality of functions.
 
 A function is in *normal form* when deg num > deg den and num(0) = 0 (hence
 den(0) != 0); every function of degree >= 1 can be moved into normal form by
-composing with degree-1 functions (Moebius units) on both sides, and that
-normalization is the entry point of the decomposition algorithm.
+composing with units on both sides, and that normalization is the entry
+point of the decomposition algorithm.  A unit is a degree-1 function
+(a*x + b)/(c*x + d), ad - bc != 0: an ordinary RatFun, applied by compose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from moondec.errors import (
     ConstantInnerError,
+    InvalidInputError,
     VerificationFailureError,
     ZeroDenominatorError,
 )
@@ -104,10 +105,6 @@ class RatFun:
         return RatFun.make(self.num ** n, self.den ** n)
 
 
-def make_ratfun(num: Poly, den: Poly) -> RatFun:
-    return RatFun.make(num, den)
-
-
 def ratfun_text(f: RatFun) -> str:
     if f.den == ONE:
         return poly_text(f.num)
@@ -161,16 +158,6 @@ def evaluate(f: RatFun, point):
     return nv / dv
 
 
-def evaluate_at_infinity(f: RatFun):
-    """Limit at infinity: ratio of leading coefficients when degrees match."""
-    dn, dd = f.num.degree, f.den.degree
-    if dn > dd:
-        return INFINITY
-    if dn < dd:
-        return Fraction(0)
-    return f.num.lc / f.den.lc
-
-
 def is_normal_form(f: RatFun) -> bool:
     """True iff deg num > deg den and num(0) = 0 (so den(0) != 0)."""
     return (not f.num.is_zero
@@ -178,70 +165,22 @@ def is_normal_form(f: RatFun) -> bool:
             and f.num.coeff(0) == 0)
 
 
-@dataclass(frozen=True)
-class MoebiusUnit:
-    """Invertible degree-1 function (a*x + b)/(c*x + d), ad - bc != 0.
-
-    Canonical scaling: the first nonzero of (a, b, c, d) equals 1.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    @staticmethod
-    def make(a, b, c, d) -> MoebiusUnit:
-        a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-        if a * d - b * c == 0:
-            raise ZeroDenominatorError("degenerate unit: ad - bc = 0")
-        for pivot in (a, b, c, d):
-            if pivot:
-                return MoebiusUnit(a / pivot, b / pivot, c / pivot, d / pivot)
-        raise AssertionError("unreachable")
-
-    @staticmethod
-    def identity() -> MoebiusUnit:
-        return MoebiusUnit.make(1, 0, 0, 1)
-
-    def as_ratfun(self) -> RatFun:
-        return RatFun.make(Poly.from_coeffs([self.b, self.a]),
-                           Poly.from_coeffs([self.d, self.c]))
-
-    def inverse(self) -> MoebiusUnit:
-        return MoebiusUnit.make(self.d, -self.b, -self.c, self.a)
-
-    def compose_unit(self, other: MoebiusUnit) -> MoebiusUnit:
-        """self o other, by 2x2 matrix multiplication."""
-        return MoebiusUnit.make(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply_to(self, f: RatFun) -> RatFun:
-        """self o f for a rational function f."""
-        return RatFun.make(f.num.scale(self.a) + f.den.scale(self.b),
-                           f.num.scale(self.c) + f.den.scale(self.d))
-
-    def __str__(self) -> str:
-        return ratfun_text(self.as_ratfun())
+def unit(a, b, c, d) -> RatFun:
+    """The degree-1 function (a*x + b)/(c*x + d), canonical as every RatFun."""
+    if a * d - b * c == 0:
+        raise ZeroDenominatorError("degenerate unit: ad - bc = 0")
+    return RatFun.make(Poly.from_coeffs([b, a]), Poly.from_coeffs([d, c]))
 
 
-def unit_inverse(u: MoebiusUnit) -> MoebiusUnit:
-    return u.inverse()
+def unit_inverse(u: RatFun) -> RatFun:
+    """The unit w with u o w = w o u = x."""
+    if u.degree != 1:
+        raise InvalidInputError(f"not a unit: degree {u.degree}")
+    return unit(u.den.coeff(0), -u.num.coeff(0), -u.den.coeff(1),
+                u.num.coeff(1))
 
 
-def unit_from_ratfun(f: RatFun) -> MoebiusUnit:
-    """Convert a degree-1 function to a unit; units are exactly degree 1."""
-    if f.degree != 1:
-        raise ValueError(f"not a unit: degree {f.degree}")
-    return MoebiusUnit.make(f.num.coeff(1), f.num.coeff(0),
-                            f.den.coeff(1), f.den.coeff(0))
-
-
-def to_normal_form(f: RatFun) -> tuple[MoebiusUnit, MoebiusUnit, RatFun]:
+def to_normal_form(f: RatFun) -> tuple[RatFun, RatFun, RatFun]:
     """Units u, v with u o f o v in normal form.
 
     Construction: scan a = 0, 1, 2, ... for the first finite value f(a),
@@ -253,7 +192,7 @@ def to_normal_form(f: RatFun) -> tuple[MoebiusUnit, MoebiusUnit, RatFun]:
     if f.degree < 1:
         raise ConstantInnerError("constants have no normal form")
     if is_normal_form(f):
-        ident = MoebiusUnit.identity()
+        ident = RatFun.identity()
         return ident, ident, f
     a = 0
     while evaluate(f, a) is INFINITY:
@@ -265,10 +204,10 @@ def to_normal_form(f: RatFun) -> tuple[MoebiusUnit, MoebiusUnit, RatFun]:
         if fa2 is not INFINITY and fa2 != fa:
             break
         a2 += 1
-    v = MoebiusUnit.make(a, a2, 1, 1)
+    v = unit(a, a2, 1, 1)
     w = 1 / (fa2 - fa)
-    u = MoebiusUnit.make(-w, 1 + w * fa, 1, -fa)
-    fbar = u.apply_to(compose(f, v.as_ratfun()))
+    u = unit(-w, 1 + w * fa, 1, -fa)
+    fbar = compose(u, compose(f, v))
     if fbar.num.degree <= fbar.den.degree:
         raise VerificationFailureError(
             "normalization must leave a full-multiplicity pole at infinity")

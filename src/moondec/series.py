@@ -253,19 +253,6 @@ class QSeries:
         return str(self.to_laurent())
 
 
-def series_arith(a: GeneralLaurent, b: GeneralLaurent, op: str) -> GeneralLaurent:
-    """Exact arithmetic dispatcher: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def substitute_power(s: QSeries, r: int) -> GeneralLaurent:
     """q -> q^r, exactly: 1/q^r + sum c_k q^(r*k), certified through r*prec."""
     if r < 1:

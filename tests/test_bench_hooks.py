@@ -1,0 +1,45 @@
+"""The benchmark's tracer finds every library function it wraps.
+
+``perfbench/tracer.py`` only reports a missing target on stderr, so a
+renamed or deleted function would silently drop a traced layer.  The
+tracer module is loaded read-only: nothing is wrapped here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from fractions import Fraction
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    for name, module_name, attr, _ in _tracer().TARGETS:
+        holder = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(holder, part), f"{name}: {module_name}.{attr}"
+            holder = getattr(holder, part)
+        assert callable(holder), name
+
+
+def test_chains_cache_can_be_cleared():
+    from moondec import decompose
+    decompose._chains_cached.cache_clear()
+
+
+def test_solve_linear_takes_a_system_with_a_matrix():
+    from moondec.relations import LinearSystem, solve_linear
+    assert list(inspect.signature(solve_linear).parameters) == ["system"]
+    system = LinearSystem(((Fraction(2), Fraction(1)),
+                           (Fraction(1), Fraction(-1))),
+                          (Fraction(3), Fraction(0)))
+    assert system.matrix[0] == (2, 1)
+    assert solve_linear(system) == [1, 1]

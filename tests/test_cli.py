@@ -45,6 +45,42 @@ def test_decompose_flagship_chains(capsys):
     assert "degrees 3*2*2" in long_chain
 
 
+@pytest.mark.parametrize("text", ["-x^4", "-5*x^4+x^2"])
+@pytest.mark.parametrize("flags", [(), ("--chains",), ("--verify",),
+                                   ("--chains", "--verify")])
+def test_decompose_leading_minus_needs_no_separator(capsys, text, flags):
+    expected = run_cli(capsys, "decompose", *flags, "--", text)
+    assert expected[0] == 0
+    assert run_cli(capsys, "decompose", *flags, text) == expected
+    assert run_cli(capsys, "decompose", text, *flags) == expected
+
+
+def test_decompose_help_and_missing_function_stay_usage(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "-h")
+    assert code == 0
+    assert out.startswith("usage: moondec decompose")
+    assert run_cli(capsys, "decompose", "--chains")[0] == 1
+    assert run_cli(capsys, "decompose", "-x^4", "-x^2")[0] == 1
+
+
+def test_decompose_one_level_verify(capsys):
+    plain = run_cli(capsys, "decompose", FLAGSHIP_TEXT)
+    code, out, _ = run_cli(capsys, "decompose", FLAGSHIP_TEXT, "--verify")
+    assert code == plain[0] == 0
+    assert out == plain[1]
+    assert out.count("\n") == 4
+
+
+@pytest.mark.parametrize("flags", [("--verify",), ("--chains", "--verify")])
+def test_decompose_verify_catches_misprint(capsys, monkeypatch, flags):
+    import moondec.cli as cli
+    real = cli.ratfun_text
+    monkeypatch.setattr(cli, "ratfun_text", lambda f: real(f) + "+1")
+    code, _, err = run_cli(capsys, "decompose", FLAGSHIP_TEXT, *flags)
+    assert code == 2
+    assert err.startswith("error: verification-failure:")
+
+
 def test_decompose_syntax_error(capsys):
     code, _, err = run_cli(capsys, "decompose", "x^")
     assert code == 2

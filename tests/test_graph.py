@@ -144,6 +144,41 @@ def test_build_graph_jobs_deterministic():
     assert sequential == parallel
 
 
+def test_build_graph_bounds_worker_count(monkeypatch):
+    import concurrent.futures
+    import os
+
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    rng = random.Random(71)
+    cat = _forward_pair_catalog(rng, parse_ratfun("(x^2+3*x-1)/(x+1)"), 2)
+    pairs = len(cat) * (len(cat) - 1)
+    bounded = build_graph(cat, 8, jobs=10 ** 6)
+    assert len(recorded) <= 1
+    assert all(1 < n <= min(pairs, os.cpu_count() or 1) for n in recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert build_graph(cat, 8, jobs=10 ** 6) == bounded
+    assert recorded[-1] == pairs
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    recorded.clear()
+    assert build_graph(cat, 8, jobs=10 ** 6) == bounded
+    assert recorded == []  # one CPU: the serial path, no pool
+
+
 # -- refine ---------------------------------------------------------------------
 
 PHI = parse_ratfun("x^2+4*x+2")

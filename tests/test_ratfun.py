@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from moondec.errors import ConstantInnerError, ZeroDenominatorError
+from moondec.errors import (
+    ConstantInnerError,
+    InvalidInputError,
+    ZeroDenominatorError,
+)
 from moondec.parsing import parse_ratfun
 from moondec.polynomials import ONE, Poly, X
 from moondec.ratfun import (
     INFINITY,
-    MoebiusUnit,
     RatFun,
     compose,
     evaluate,
-    evaluate_at_infinity,
     is_normal_form,
-    make_ratfun,
     to_normal_form,
-    unit_from_ratfun,
+    unit,
     unit_inverse,
 )
 from oracles import FLAGSHIP_DEN, FLAGSHIP_NUM
@@ -27,15 +28,15 @@ def P(*coeffs):
 
 
 def test_make_reduces_and_normalizes():
-    f = make_ratfun(P(-1, 0, 1), P(-1, 1))  # (x^2-1)/(x-1)
+    f = RatFun.make(P(-1, 0, 1), P(-1, 1))  # (x^2-1)/(x-1)
     assert f == RatFun(P(1, 1), ONE)
-    assert make_ratfun(P(0, 2), P(2)) == RatFun(X, ONE)
+    assert RatFun.make(P(0, 2), P(2)) == RatFun(X, ONE)
     with pytest.raises(ZeroDenominatorError):
-        make_ratfun(X, Poly.from_coeffs([]))
+        RatFun.make(X, Poly.from_coeffs([]))
 
 
 def test_make_flagship_already_reduced(flagship):
-    rebuilt = make_ratfun(Poly.from_coeffs(FLAGSHIP_NUM),
+    rebuilt = RatFun.make(Poly.from_coeffs(FLAGSHIP_NUM),
                           Poly.from_coeffs(FLAGSHIP_DEN))
     assert rebuilt == flagship
 
@@ -48,7 +49,7 @@ def test_canonical_form_unique_under_scaling():
         if num.is_zero:
             continue
         k = Fraction(rng.randint(1, 7), rng.randint(1, 7)) * rng.choice([1, -1])
-        assert make_ratfun(num, den) == make_ratfun(num.scale(k), den.scale(k))
+        assert RatFun.make(num, den) == RatFun.make(num.scale(k), den.scale(k))
 
 
 def test_degree():
@@ -106,7 +107,7 @@ def _random_ratfun(rng, degree):
                                + [rng.randint(1, 5)])
         dd = rng.randint(0, degree - 1)
         den = Poly.from_coeffs([rng.randint(-5, 5) for _ in range(dd)] + [1])
-        f = make_ratfun(num, den)
+        f = RatFun.make(num, den)
         if f.degree == degree:
             return f
 
@@ -123,12 +124,6 @@ def test_evaluate_flagship_at_one(flagship):
     assert evaluate(flagship, 1) == expected
 
 
-def test_evaluate_at_infinity():
-    assert evaluate_at_infinity(parse_ratfun("x^2/(x+1)")) is INFINITY
-    assert evaluate_at_infinity(parse_ratfun("(x+1)/x^2")) == 0
-    assert evaluate_at_infinity(parse_ratfun("(2*x+1)/(3*x+5)")) == Fraction(2, 3)
-
-
 def test_is_normal_form():
     assert is_normal_form(parse_ratfun("x^2/(x+1)"))
     assert not is_normal_form(parse_ratfun("(x^2+1)/x"))
@@ -138,8 +133,8 @@ def test_is_normal_form():
 def test_normal_form_identity_when_already_normal(flagship):
     u, v, fbar = to_normal_form(flagship)
     assert fbar == flagship
-    assert u == MoebiusUnit.identity()
-    assert v == MoebiusUnit.identity()
+    assert u == RatFun.identity()
+    assert v == RatFun.identity()
 
 
 def test_normal_form_construction_and_round_trip():
@@ -151,7 +146,7 @@ def test_normal_form_construction_and_round_trip():
         u, v, fbar = to_normal_form(f)
         assert is_normal_form(fbar)
         # round trip: u^-1 o fbar o v^-1 = f
-        back = compose(u.inverse().apply_to(fbar), v.inverse().as_ratfun())
+        back = compose(compose(unit_inverse(u), fbar), unit_inverse(v))
         assert back == f
 
 
@@ -163,14 +158,15 @@ def test_degree_one_normal_form_is_scaled_x():
 
 
 def test_unit_inverse():
-    u = MoebiusUnit.make(2, 3, 1, -4)  # (2x+3)/(x-4)
+    u = unit(2, 3, 1, -4)  # (2x+3)/(x-4)
     inv = unit_inverse(u)
-    assert u.compose_unit(inv) == MoebiusUnit.identity()
-    assert inv.compose_unit(u) == MoebiusUnit.identity()
-    shift = unit_from_ratfun(parse_ratfun("x+5"))
-    assert unit_inverse(shift).as_ratfun() == parse_ratfun("x-5")
-    recip = unit_from_ratfun(parse_ratfun("1/x"))
+    assert compose(u, inv) == RatFun.identity()
+    assert compose(inv, u) == RatFun.identity()
+    assert unit_inverse(parse_ratfun("x+5")) == parse_ratfun("x-5")
+    recip = parse_ratfun("1/x")
     assert unit_inverse(recip) == recip
+    with pytest.raises(InvalidInputError):
+        unit_inverse(parse_ratfun("x^2"))
 
 
 def test_units_are_degree_one_and_closed_under_composition():
@@ -180,18 +176,23 @@ def test_units_are_degree_one_and_closed_under_composition():
             a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
             if a * d - b * c != 0:
                 break
-        u = MoebiusUnit.make(a, b, c, d)
-        assert u.as_ratfun().degree == 1
+        u = unit(a, b, c, d)
+        assert u.degree == 1
+        assert u == parse_ratfun(f"({a}*x+{b})/({c}*x+{d})")
         while True:
             a2, b2, c2, d2 = (rng.randint(-5, 5) for _ in range(4))
             if a2 * d2 - b2 * c2 != 0:
                 break
-        w = MoebiusUnit.make(a2, b2, c2, d2)
-        both = u.compose_unit(w)
-        assert both.as_ratfun() == compose(u.as_ratfun(), w.as_ratfun())
-        assert both.as_ratfun().degree == 1
+        both = compose(u, unit(a2, b2, c2, d2))
+        # (u o w) is the unit of the 2x2 matrix product
+        assert both == unit(a * a2 + b * c2, a * b2 + b * d2,
+                            c * a2 + d * c2, c * b2 + d * d2)
+        assert both.degree == 1
 
 
 def test_canonical_unit_scaling():
-    assert MoebiusUnit.make(2, 4, 0, 2) == MoebiusUnit.make(1, 2, 0, 1)
-    assert MoebiusUnit.make(0, 3, 6, 0) == MoebiusUnit.make(0, 1, 2, 0)
+    assert unit(2, 4, 0, 2) == unit(1, 2, 0, 1)
+    assert unit(0, 3, 6, 0) == unit(0, 1, 2, 0)
+    assert unit(Fraction(2, 3), -2, 4, 8) == unit(1, -3, 6, 12)
+    with pytest.raises(ZeroDenominatorError):
+        unit(1, 2, 2, 4)
