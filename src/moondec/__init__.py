@@ -9,7 +9,6 @@ relations at different powers.  All arithmetic is exact.
 
 from moondec.bivariate import PolyOverPoly
 from moondec.decompose import (
-    CandidateComponent,
     Decomposition,
     DecompositionChain,
     all_chains,

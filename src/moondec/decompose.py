@@ -6,9 +6,14 @@ numerator and denominator of h divide those of fbar, so every candidate
 inner component is a pair of monic divisors (A, B) read off the two
 factorizations, pruned by the normal-form shape: deg A > deg B, A(0) = 0,
 deg A a proper nontrivial divisor of deg fbar.  For each candidate the
-outer component is pinned by an exact homogeneous linear system; successes
-are de-normalized as (u^-1 o g, h o v^-1) and de-duplicated up to
-unit-twist equivalence (g, h) ~ (g o w^-1, w o h).
+outer component g is read off the h-expansion of num(fbar) and den(fbar)
+(see left_component; von zur Gathen, JSC 1990), and successes are
+de-normalized as (u^-1 o g, h o v^-1).
+
+No two candidates are equivalent under the unit twist
+(g, h) ~ (g o w^-1, w o h), so nothing is de-duplicated: each has h(0) = 0
+and a pole at infinity, so a unit w with h2 = w o h1 fixes 0 and infinity
+and is c*x, and monic numerators force c = 1.
 """
 
 from __future__ import annotations
@@ -30,19 +35,11 @@ from moondec.ratfun import (
     RatFun,
     compose,
     is_normal_form,
-    power_tables,
+    power_basis,
     to_normal_form,
     unit,
     unit_inverse,
 )
-
-
-@dataclass(frozen=True)
-class CandidateComponent:
-    """Monic divisor pair (A, B) of the normalized numerator/denominator."""
-
-    a_part: Poly
-    b_part: Poly
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,9 @@ def _monic_divisors(fact: Factorization) -> list[Poly]:
     return sorted(divisors, key=lambda d: (d.degree, d.coeffs))
 
 
-def candidate_components(fbar: RatFun) -> list[CandidateComponent]:
-    """Divisor pairs satisfying the normal-form candidate constraints."""
+def candidate_components(fbar: RatFun) -> list[RatFun]:
+    """Divisor pairs satisfying the normal-form candidate constraints, as
+    RatFun(A, B): A | num(fbar) and B | den(fbar) are coprime and monic."""
     if not is_normal_form(fbar):
         raise NotNormalFormError("candidate enumeration needs normal form")
     deg = fbar.degree
@@ -91,50 +89,57 @@ def candidate_components(fbar: RatFun) -> list[CandidateComponent]:
                if 1 < a.degree < deg and deg % a.degree == 0
                and a.coeff(0) == 0]
     b_parts = _monic_divisors(factor(fbar.den))
-    out = []
-    for a in a_parts:
-        for b in b_parts:
-            if b.degree < a.degree:
-                out.append(CandidateComponent(a, b))
-    return out
+    return [RatFun(a, b) for a in a_parts for b in b_parts
+            if b.degree < a.degree]
 
 
-def _first_null_vector(cols: list[Poly]):
-    """First null-space basis vector of the matrix whose column j holds the
-    coefficients of cols[j]; None when the columns are independent."""
-    top = max((c.degree for c in cols if not c.is_zero), default=0)
-    rows = [[c.coeff(k) for c in cols] for k in range(top + 1)]
-    basis = linalg.nullspace(rows, len(cols))
-    return basis[0] if basis else None
+def _expand(p: Poly, basis: list[Poly]):
+    """Coefficients c with p = sum c[i] * basis[i], or None; the basis
+    degrees increase strictly, so the top term of what is left pins one
+    coefficient, until a degree that no remaining basis element has."""
+    coeffs = [0] * len(basis)
+    i = len(basis) - 1
+    while not p.is_zero:
+        while i >= 0 and basis[i].degree > p.degree:
+            i -= 1
+        if i < 0 or basis[i].degree != p.degree:
+            return None
+        coeffs[i] = p.lc / basis[i].lc
+        p = p + basis[i].scale(-coeffs[i])
+        i -= 1
+    return coeffs
 
 
 def left_component(f: RatFun, h: RatFun):
     """The unique g with f = g o h, or None.
 
-    Writing g with unknown coefficient vectors of degree m = deg f / deg h
-    and homogenizing through h, the identity f = g o h becomes the
-    homogeneous linear system f_N * G_D - f_D * G_N = 0.  A nonzero
-    solution exists iff g does, and then the solution space is one
-    dimensional, so any null-space basis vector reduces to g.
+    For g of degree m = deg f / deg h, num(g o h) and den(g o h) are the
+    coprime combinations of num(h)^i * den(h)^(m-i) with the coefficients
+    of num(g) and den(g), so num(f) and den(f) expand in that basis iff g
+    exists.  Its degrees increase strictly when deg num(h) > deg den(h);
+    otherwise w = 1/(x - h(infinity)) moves h there, and g = g' o w.
     """
     if h.degree < 2:
         raise DegreeMismatchError("inner component must have degree >= 2")
     if f.degree % h.degree != 0:
         raise DegreeMismatchError(
             f"degree {h.degree} does not divide degree {f.degree}")
-    m = f.degree // h.degree
-    hn_pow, hd_pow = power_tables(h, m)
-    # columns: alpha_0..alpha_m then beta_0..beta_m
-    cols = [-(f.den * (hn_pow[i] * hd_pow[m - i])) for i in range(m + 1)]
-    cols += [f.num * (hn_pow[j] * hd_pow[m - j]) for j in range(m + 1)]
-    vec = _first_null_vector(cols)
-    if vec is None:
+    if h.num.degree <= h.den.degree:
+        at_infinity = (h.num.lc / h.den.lc
+                       if h.num.degree == h.den.degree else 0)
+        w = unit(0, 1, 1, -at_infinity)
+        dec = left_component(f, compose(w, h))
+        if dec is None:
+            return None
+        return Decomposition(compose(dec.outer, w), h)
+    basis = power_basis(h, f.degree // h.degree)
+    num = _expand(f.num, basis)
+    if num is None:
         return None
-    num = Poly.from_coeffs(vec[:m + 1])
-    den = Poly.from_coeffs(vec[m + 1:])
-    if den.is_zero:
+    den = _expand(f.den, basis)
+    if den is None:
         return None
-    g = RatFun.make(num, den)
+    g = RatFun.make(Poly.from_coeffs(num), Poly.from_coeffs(den))
     if g.is_constant or compose(g, h) != f:
         return None
     return Decomposition(g, h)
@@ -149,11 +154,14 @@ def unit_linking(h1: RatFun, h2: RatFun):
     """
     if h1.degree != h2.degree:
         return None
-    vec = _first_null_vector([h1.num * h2.den, h1.den * h2.den,
-                              -(h1.num * h2.num), -(h1.den * h2.num)])
-    if vec is None:
+    cols = [h1.num * h2.den, h1.den * h2.den,
+            -(h1.num * h2.num), -(h1.den * h2.num)]
+    top = max((c.degree for c in cols if not c.is_zero), default=0)
+    basis = linalg.nullspace(
+        [[c.coeff(k) for c in cols] for k in range(top + 1)], 4)
+    if not basis:
         return None
-    a, b, c, d = vec
+    a, b, c, d = basis[0]
     if a * d - b * c == 0:
         return None
     w = unit(a, b, c, d)
@@ -172,8 +180,8 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     """One representative per equivalence class of decompositions of f.
 
     Empty means f is indecomposable.  Deterministic: candidates are tried
-    by ascending inner degree, then lexicographically; the first
-    representative of each class is kept.
+    by ascending inner degree, then lexicographically; each one that
+    splits fbar is a class of its own (see the module docstring).
     """
     if f.degree < 2:
         raise InvalidInputError("decomposition needs degree >= 2")
@@ -181,22 +189,16 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     u_inv = unit_inverse(u)
     v_inv = unit_inverse(v)
     found: list[Decomposition] = []
-    for cand in candidate_components(fbar):
-        h = RatFun.make(cand.a_part, cand.b_part)
-        if h.degree != cand.a_part.degree:
-            continue  # divisor pair collapsed under reduction
+    for h in candidate_components(fbar):
         dec = left_component(fbar, h)
         if dec is None:
             continue
         outer = compose(u_inv, dec.outer)
-        inner = compose(dec.inner, v_inv)
-        candidate = Decomposition(outer, inner)
+        inner = compose(h, v_inv)
         if compose(outer, inner) != f:
             raise VerificationFailureError(
                 "de-normalized decomposition does not compose back to f")
-        if not any(unit_linking(seen.inner, inner) is not None
-                   for seen in found):
-            found.append(candidate)
+        found.append(Decomposition(outer, inner))
     return tuple(found)
 
 

@@ -54,14 +54,18 @@ def _pm_mul(a, b, p):
     return _pm_trim(_kernels.poly_mul(a, b, p))
 
 
-def _pm_sub(a, b, p):
+def _pm_add(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
     for i, c in enumerate(a):
         out[i] = c
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+        out[i] = (out[i] + c) % p
     return _pm_trim(out)
+
+
+def _pm_sub(a, b, p):
+    return _pm_add(a, [-c for c in b], p)
 
 
 def _pm_monic(a, p):
@@ -210,32 +214,17 @@ def _hensel_pair(f, g, h, s, t, p, target):
         fm = _mod_reduce(f, m2)
         e = _pm_sub(fm, _kernels.poly_mul(g, h, m2), m2)
         q, r = _pm_divrem(_kernels.poly_mul(s, e, m2), h, m2)
-        g = _pm_trim([(x + y + z) % m2 for x, y, z in _zip3(
-            g, _kernels.poly_mul(t, e, m2), _kernels.poly_mul(q, g, m2))])
-        h = _pm_trim([(x + y) % m2 for x, y in _zip2(h, r)])
-        b = _pm_sub(_pm_trim([(x + y) % m2 for x, y in _zip2(
-            _kernels.poly_mul(s, g, m2), _kernels.poly_mul(t, h, m2))]),
-            [1], m2)
+        g = _pm_add(_pm_add(g, _kernels.poly_mul(t, e, m2), m2),
+                    _kernels.poly_mul(q, g, m2), m2)
+        h = _pm_add(h, r, m2)
+        b = _pm_sub(_pm_add(_kernels.poly_mul(s, g, m2),
+                            _kernels.poly_mul(t, h, m2), m2), [1], m2)
         c, d = _pm_divrem(_kernels.poly_mul(s, b, m2), h, m2)
         s = _pm_sub(s, d, m2)
-        t = _pm_sub(t, _pm_trim([(x + y) % m2 for x, y in _zip2(
-            _kernels.poly_mul(t, b, m2), _kernels.poly_mul(c, g, m2))]), m2)
+        t = _pm_sub(t, _pm_add(_kernels.poly_mul(t, b, m2),
+                               _kernels.poly_mul(c, g, m2), m2), m2)
         m = m2
     return g, h, m
-
-
-def _zip2(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _zip3(a, b, c):
-    n = max(len(a), len(b), len(c))
-    for i in range(n):
-        yield ((a[i] if i < len(a) else 0),
-               (b[i] if i < len(b) else 0),
-               (c[i] if i < len(c) else 0))
 
 
 def _hensel_lift_all(f, mod_factors, p, target):

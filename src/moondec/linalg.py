@@ -12,10 +12,6 @@ from moondec.errors import UnderdeterminedSystemError
 from moondec.polynomials import clear_denominators
 
 
-def _echelon(rows):
-    return _kernels.row_echelon([clear_denominators(row)[0] for row in rows])
-
-
 def _null_vector(echelon, pivots, free_col, ncols):
     """The null vector with 1 at ``free_col`` and 0 at the other free
     columns, by back-substitution through the pivot rows."""
@@ -38,17 +34,18 @@ def solve_unique(aug_rows, nvars):
     Returns the unique solution as a list of Fractions, or None when the
     system is inconsistent.  A consistent system of rank < nvars raises
     UnderdeterminedSystemError: a solution that is not pinned down by the
-    data must not be reported.  A x = b iff [A | b] (-x, 1) = 0, so x is
-    read off the null vector of the right-hand side column.
+    data must not be reported.  A x = b iff [A | b] (-x, 1) = 0, so the
+    system is consistent iff the right-hand side column is free, and x is
+    read off its null vector, the last one (a pivot in that column leaves
+    0 there in every null vector).
     """
-    echelon, pivots = _echelon(aug_rows)
-    if nvars in pivots:  # pivot in the right-hand side column
+    basis = nullspace(aug_rows, nvars + 1)
+    if not basis or basis[-1][nvars] != 1:
         return None
-    if len(pivots) < nvars:
+    if len(basis) > 1:
         raise UnderdeterminedSystemError(
-            f"system has rank {len(pivots)} < {nvars} unknowns")
-    vec = _null_vector(echelon, pivots, nvars, nvars + 1)
-    return [-v for v in vec[:nvars]]
+            f"system has rank {nvars + 1 - len(basis)} < {nvars} unknowns")
+    return [-v for v in basis[0][:nvars]]
 
 
 def nullspace(rows, nvars):
@@ -57,7 +54,8 @@ def nullspace(rows, nvars):
     One basis vector per free column, each with a 1 in its free coordinate;
     deterministic order (free columns ascending).
     """
-    echelon, pivots = _echelon(rows)
+    echelon, pivots = _kernels.row_echelon(
+        [clear_denominators(row)[0] for row in rows])
     pivot_set = set(pivots)
     return [_null_vector(echelon, pivots, free_col, nvars)
             for free_col in range(nvars) if free_col not in pivot_set]

@@ -109,6 +109,10 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
+        if self == ONE:
+            return other
+        if other == ONE:
+            return self
         return Poly.from_coeffs(mul_fraction_seqs(self.coeffs, other.coeffs))
 
     def scale(self, k) -> Poly:
@@ -125,8 +129,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def monic(self) -> Poly:

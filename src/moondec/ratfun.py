@@ -102,7 +102,8 @@ class RatFun:
     def __pow__(self, n: int) -> RatFun:
         if n < 0:
             raise ValueError("negative power")
-        return RatFun.make(self.num ** n, self.den ** n)
+        # coprime with a monic den, so the powers are canonical as they are
+        return RatFun(self.num ** n, self.den ** n)
 
 
 def ratfun_text(f: RatFun) -> str:
@@ -111,34 +112,33 @@ def ratfun_text(f: RatFun) -> str:
     return f"({poly_text(f.num)})/({poly_text(f.den)})"
 
 
-def power_tables(h: RatFun, m: int) -> tuple[list[Poly], list[Poly]]:
-    """Powers num(h)^i and den(h)^i for i = 0..m.
+def power_basis(h: RatFun, m: int) -> list[Poly]:
+    """The products num(h)^i * den(h)^(m-i) for i = 0..m.
 
-    Homogenizing g o h for deg g <= m gives the products
-    num(h)^i * den(h)^(m-i); callers multiply only the ones they need.
+    Homogenizing g o h for deg g <= m gives num and den of g o h as the
+    combinations sum g_i * basis[i] of the coefficients of num(g), den(g).
     """
     hn_pow = [ONE]
     hd_pow = [ONE]
     for _ in range(m):
         hn_pow.append(hn_pow[-1] * h.num)
         hd_pow.append(hd_pow[-1] * h.den)
-    return hn_pow, hd_pow
+    return [hn_pow[i] * hd_pow[m - i] for i in range(m + 1)]
 
 
 def compose(g: RatFun, h: RatFun) -> RatFun:
     """g(h(x)), reduced.  Degrees multiply: deg(g o h) = deg g * deg h."""
     if h.is_constant:
         raise ConstantInnerError("inner function of a composition is constant")
-    dg = max(len(g.num.coeffs), len(g.den.coeffs)) - 1
-    hn_pow, hd_pow = power_tables(h, dg)
+    basis = power_basis(h, g.degree)
     num = ZERO
     for i, c in enumerate(g.num.coeffs):
         if c:
-            num = num + (hn_pow[i] * hd_pow[dg - i]).scale(c)
+            num = num + basis[i].scale(c)
     den = ZERO
     for j, c in enumerate(g.den.coeffs):
         if c:
-            den = den + (hn_pow[j] * hd_pow[dg - j]).scale(c)
+            den = den + basis[j].scale(c)
     result = RatFun.make(num, den)
     if not g.is_constant and result.degree != g.degree * h.degree:
         raise VerificationFailureError(

@@ -56,6 +56,47 @@ FLAGSHIP_NUM = naive_mul(
 FLAGSHIP_DEN = naive_mul(naive_pow([-3, 1], 3), naive_pow([9, 3, 1], 3))
 
 
+# -- outer component by an exact homogeneous linear system (sympy) ------------
+
+def outer_by_nullspace(f_num, f_den, h_num, h_den):
+    """The g with f = g o h, from the null space of f_N*G_D - f_D*G_N = 0.
+
+    Coefficient lists are ascending.  G_N and G_D are unknown combinations
+    of h_N^i * h_D^(m-i), m = deg f / deg h, solved by sympy's
+    ``Matrix.nullspace``.  Dividing the system by h_D^m gives
+    f_N * G_D(h) = f_D * G_N(h), so every nonzero null vector is an outer
+    component, and G_D = 0 would force G_N = 0.  Returns g reduced by
+    ``sympy.cancel``, as (num, den) coefficient lists with a monic den, or
+    None; raises ValueError when deg h does not divide deg f.
+    """
+    import sympy as sp
+    y = sp.Symbol("y")
+    deg_f = max(len(f_num), len(f_den)) - 1
+    deg_h = max(len(h_num), len(h_den)) - 1
+    if deg_f % deg_h:
+        raise ValueError(f"degree {deg_h} does not divide degree {deg_f}")
+    m = deg_f // deg_h
+    basis = [naive_mul(naive_pow(h_num, i), naive_pow(h_den, m - i))
+             for i in range(m + 1)]
+    cols = ([naive_mul([-c for c in f_den], b) for b in basis]
+            + [naive_mul(f_num, b) for b in basis])
+    nrows = max(len(c) for c in cols)
+    matrix = sp.Matrix(nrows, len(cols), lambda k, j: sp.Rational(
+        *(cols[j][k].as_integer_ratio() if k < len(cols[j]) else (0, 1))))
+    null = matrix.nullspace()
+    if not null:
+        return None
+    g_num = sum(null[0][i] * y ** i for i in range(m + 1))
+    g_den = sum(null[0][m + 1 + i] * y ** i for i in range(m + 1))
+    g = sp.cancel(g_num / g_den)
+    if not g.has(y):
+        return None
+    num, den = (sp.Poly(part, y).all_coeffs() for part in sp.fraction(g))
+    lc = den[0]
+    return tuple([Fraction(int(c.p), int(c.q)) for c in reversed(part)]
+                 for part in ([c / lc for c in num], [c / lc for c in den]))
+
+
 # -- brute-force irreducibility of integer polynomials ------------------------
 
 def divisor_candidates(n):

@@ -2,7 +2,10 @@
 
 ``perfbench/tracer.py`` only reports a missing target on stderr, so a
 renamed or deleted function would silently drop a traced layer.  The
-tracer module is loaded read-only: nothing is wrapped here.
+tracer module is loaded read-only: nothing is wrapped by it here.  Its
+self-test also expects the decompose workload to reach every layer it
+lists, so the layers that decomposition reaches only through
+``chains_equivalent`` are checked with counting wrappers.
 """
 
 import importlib
@@ -43,3 +46,24 @@ def test_solve_linear_takes_a_system_with_a_matrix():
                           (Fraction(3), Fraction(0)))
     assert system.matrix[0] == (2, 1)
     assert solve_linear(system) == [1, 1]
+
+
+def test_flagship_chains_reach_nullspace_and_row_echelon(monkeypatch, flagship):
+    from moondec import _kernels, decompose, linalg
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(linalg, "nullspace")
+    count(_kernels, "row_echelon")
+    decompose._chains_cached.cache_clear()
+    decompose.all_chains(flagship)
+    assert calls.get("nullspace", 0) >= 1
+    assert calls.get("row_echelon", 0) >= 1

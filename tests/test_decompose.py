@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import outer_by_nullspace
 
 from moondec.decompose import (
     all_chains,
@@ -25,7 +26,7 @@ from moondec.ratfun import RatFun, compose, is_normal_form, unit, unit_inverse
 
 def test_candidates_power_of_x():
     cands = candidate_components(parse_ratfun("x^4"))
-    assert [(str(c.a_part), str(c.b_part)) for c in cands] == [("x^2", "1")]
+    assert [(str(c.num), str(c.den)) for c in cands] == [("x^2", "1")]
 
 
 def test_candidates_require_normal_form():
@@ -34,17 +35,17 @@ def test_candidates_require_normal_form():
 
 
 def test_candidates_flagship_include_both_displayed_inners(flagship):
-    cands = {(str(c.a_part), str(c.b_part))
+    cands = {(str(c.num), str(c.den))
              for c in candidate_components(flagship)}
     assert ("x^2+6*x", "x-3") in cands
     assert ("x^3-6*x^2+36*x", "x^2+3*x+9") in cands
     for c in candidate_components(flagship):
-        assert 1 < c.a_part.degree < 12
-        assert 12 % c.a_part.degree == 0
-        assert c.a_part.coeff(0) == 0
-        assert c.a_part.degree > c.b_part.degree
-        assert poly_divrem(flagship.num, c.a_part)[1].is_zero
-        assert poly_divrem(flagship.den, c.b_part)[1].is_zero
+        assert 1 < c.num.degree < 12
+        assert 12 % c.num.degree == 0
+        assert c.num.coeff(0) == 0
+        assert c.num.degree > c.den.degree
+        assert poly_divrem(flagship.num, c.num)[1].is_zero
+        assert poly_divrem(flagship.den, c.den)[1].is_zero
 
 
 def test_candidates_prime_degree_empty():
@@ -83,6 +84,61 @@ def test_left_component_degree_mismatch():
         left_component(parse_ratfun("x^4"), parse_ratfun("x^3"))
     with pytest.raises(DegreeMismatchError):
         left_component(parse_ratfun("x^4"), parse_ratfun("x+1"))
+
+
+def _inner_of_shape(rng, shape):
+    """A random h of degree 2 or 3 with deg num(h) >, = or < deg den(h)
+    for shape 1, 0, -1."""
+    while True:
+        deg = rng.randint(2, 3)
+        low = rng.randint(0, deg - 1)
+        num_deg, den_deg = {1: (deg, low), 0: (deg, deg), -1: (low, deg)}[shape]
+        num = Poly.from_coeffs([rng.randint(-5, 5) for _ in range(num_deg)]
+                               + [rng.choice([-2, 1, 3])])
+        den = Poly.from_coeffs([rng.randint(-5, 5) for _ in range(den_deg)]
+                               + [1])
+        h = RatFun.make(num, den)
+        nd, dd = h.num.degree, h.den.degree
+        if h.degree == deg and (nd > dd) - (nd < dd) == shape:
+            return h
+
+
+def _outcome(f, h):
+    """left_component and the null-space oracle side by side."""
+    try:
+        expected = outer_by_nullspace(f.num.coeffs, f.den.coeffs,
+                                      h.num.coeffs, h.den.coeffs)
+    except ValueError:
+        with pytest.raises(DegreeMismatchError):
+            left_component(f, h)
+        return "mismatch"
+    dec = left_component(f, h)
+    got = None if dec is None else (list(dec.outer.num.coeffs),
+                                    list(dec.outer.den.coeffs))
+    assert got == expected, (f, h)
+    return "none" if dec is None else "match"
+
+
+def test_left_component_matches_nullspace_oracle():
+    """The h-expansion against the homogeneous linear system it replaced,
+    for inner components of every pole shape; f = g o h recovers g, and
+    f + x gets the oracle's answer: None or a degree mismatch."""
+    rng = random.Random(2027)
+    seen = set()
+    for k in range(96):
+        shape = k % 3 - 1
+        h = _inner_of_shape(rng, shape)
+        if k % 4:
+            g = _inner_of_shape(rng, rng.choice([-1, 0, 1]))
+        else:  # a unit: m = 1
+            g = RatFun.make(Poly.from_coeffs([rng.randint(-3, 3), 1]),
+                            Poly.from_coeffs([rng.randint(-3, 3) or 1]))
+        f = compose(g, h)
+        assert _outcome(f, h) == "match"
+        assert left_component(f, h).outer == g
+        seen.add((shape, _outcome(f + RatFun.identity(), h)))
+    assert {outcome for _, outcome in seen} == {"none", "mismatch"}
+    assert {shape for shape, _ in seen} == {-1, 0, 1}
 
 
 def test_one_level_power():

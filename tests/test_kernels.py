@@ -86,6 +86,19 @@ def test_solver_matches_reference_on_random_systems():
             assert linalg.solve_unique(aug, n) == expect
 
 
+def test_solve_unique_on_rank_deficient_systems():
+    """Inconsistency wins over rank deficiency, and the rank in the error
+    message is the rank of the consistent system."""
+    from moondec.errors import UnderdeterminedSystemError
+    one, two = Fraction(1), Fraction(2)
+    assert linalg.solve_unique([[one, one, one], [two, two, Fraction(3)]],
+                               2) is None
+    with pytest.raises(UnderdeterminedSystemError, match="rank 1 < 3"):
+        linalg.solve_unique([[one, two, one, one], [two, 4 * one, two, two]],
+                            3)
+    assert linalg.solve_unique([], 0) == []
+
+
 def test_nullspace_vectors_annihilate():
     rng = random.Random(11)
     for _ in range(100):
