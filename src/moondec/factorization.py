@@ -1,11 +1,17 @@
 """Factorization over the rationals.
 
-Pipeline: clear to integers, squarefree-decompose (Yun), monicize each
-squarefree part, reduce modulo the smallest usable prime >= 3, split with
-Berlekamp's algorithm, Hensel-lift to a power of p exceeding twice the
-Mignotte coefficient bound, and recombine lifted factors by subset trial
-division.  Everything is deterministic: prime choice, Berlekamp splitting
-order, subset enumeration and the final factor ordering.
+Pipeline: clear to integers, squarefree-decompose (Yun), take the primitive
+integer polynomial f of each squarefree part, reduce modulo the smallest
+prime >= 3 that keeps f squarefree and of full degree, split with
+Berlekamp's algorithm, and Hensel-lift the factors of the monic f/lc(f) to
+the first power of p above 2*B, where B = |lc(f)| * C(n, n//2) * ||f||_2
+bounds every coefficient of lc(f)/lc(u) * u for an integer factor u of f.
+Recombination is Zassenhaus subset search with the leading coefficient
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15): a subset's
+product times lc of the remaining cofactor, in the symmetric range mod p^l,
+is tried as a factor through its primitive part, and accepted only on exact
+integer division.  Everything is deterministic: prime choice, Berlekamp
+splitting order, subset enumeration and the final factor ordering.
 
 Degrees in this problem domain reach the seventies, which is far beyond
 naive coefficient search but comfortable for Zassenhaus recombination (the
@@ -23,6 +29,7 @@ from moondec import _kernels
 from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
+    _int_primitive,
     clear_denominators,
     squarefree_decomposition,
 )
@@ -207,10 +214,12 @@ def _mod_reduce(a, m):
 
 
 def _hensel_pair(f, g, h, s, t, p, target):
-    """Lift f = g*h from mod p to mod m >= target (h, g monic)."""
+    """Lift f = g*h from mod p to mod target, a power of p (h, g monic).
+
+    Each quadratic step goes from m to min(m^2, target), never past it."""
     m = p
     while m < target:
-        m2 = m * m
+        m2 = min(m * m, target)
         fm = _mod_reduce(f, m2)
         e = _pm_sub(fm, _kernels.poly_mul(g, h, m2), m2)
         q, r = _pm_divrem(_kernels.poly_mul(s, e, m2), h, m2)
@@ -224,13 +233,14 @@ def _hensel_pair(f, g, h, s, t, p, target):
         t = _pm_sub(t, _pm_add(_kernels.poly_mul(t, b, m2),
                                _kernels.poly_mul(c, g, m2), m2), m2)
         m = m2
-    return g, h, m
+    return g, h
 
 
 def _hensel_lift_all(f, mod_factors, p, target):
-    """Lift a list of pairwise-coprime monic factors of monic f mod p."""
+    """Lift a list of pairwise-coprime monic factors of monic f mod p;
+    f is reduced mod target."""
     if len(mod_factors) == 1:
-        return [_mod_reduce(f, target)]
+        return [f]
     half = len(mod_factors) // 2
     g = [1]
     for mf in mod_factors[:half]:
@@ -239,9 +249,9 @@ def _hensel_lift_all(f, mod_factors, p, target):
     for mf in mod_factors[half:]:
         h = _pm_mul(h, mf, p)
     s, t = _pm_bezout(g, h, p)
-    g, h, m = _hensel_pair(f, g, h, s, t, p, target)
-    return (_hensel_lift_all(_mod_reduce(g, target), mod_factors[:half], p, target)
-            + _hensel_lift_all(_mod_reduce(h, target), mod_factors[half:], p, target))
+    g, h = _hensel_pair(f, g, h, s, t, p, target)
+    return (_hensel_lift_all(g, mod_factors[:half], p, target)
+            + _hensel_lift_all(h, mod_factors[half:], p, target))
 
 
 # -- recombination -------------------------------------------------------------
@@ -251,22 +261,25 @@ def _symmetric(a, m):
     return [c - m if c > half else c for c in a]
 
 
-def _int_divrem_monic(a, b):
-    """Division of integer polynomials, b monic."""
-    da, db = len(a) - 1, len(b) - 1
+def _int_exact_quot(a, b):
+    """a / b for integer polynomials when b divides a in Z[x], else None."""
+    db = len(b) - 1
     rem = list(a)
-    quot = [0] * max(da - db + 1, 0)
-    for i in range(da, db - 1, -1):
-        c = rem[i]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(rem[i], b[-1])
+        if r:
+            return None
         if c:
             quot[i - db] = c
             for j in range(db + 1):
                 rem[i - db + j] -= c * b[j]
-    return quot, _pm_trim(rem[:db])
+    return None if any(rem[:db]) else quot
 
 
-def _recombine(f, lifted, p, target):
-    """Zassenhaus subset search over the lifted modular factors of monic f."""
+def _recombine(f, lifted, target):
+    """Zassenhaus subset search over the lifted monic modular factors of
+    the primitive f; returns its primitive irreducible factors."""
     result = []
     rest = list(range(len(lifted)))
     current = list(f)
@@ -276,14 +289,14 @@ def _recombine(f, lifted, p, target):
         while retry and 2 * size <= len(rest):
             retry = False
             for combo in combinations(rest, size):
-                g = [1]
+                g = [current[-1] % target]
                 for i in combo:
                     g = _kernels.poly_mul(g, lifted[i], target)
-                g = _symmetric(g, target)
+                g = _int_primitive(_symmetric(g, target))
                 if g[0] and current[0] % g[0]:
                     continue  # constant term cannot divide: skip early
-                quot, rem = _int_divrem_monic(current, g)
-                if rem:
+                quot = _int_exact_quot(current, g)
+                if quot is None:
                     continue
                 result.append(g)
                 current = quot
@@ -306,7 +319,7 @@ def _is_prime(n):
 
 
 def _choose_prime(f_int):
-    """Smallest prime >= 3 with a squarefree image of the monic input."""
+    """Smallest prime >= 3 not dividing lc(f_int) that keeps f_int squarefree."""
     p = 3
     while True:
         if _is_prime(p):
@@ -318,32 +331,25 @@ def _choose_prime(f_int):
         p += 2
 
 
-def _factor_squarefree_monic(g: Poly) -> list[Poly]:
+def _factor_squarefree(g: Poly) -> list[Poly]:
     """Irreducible monic factors of a monic squarefree polynomial."""
     if g.degree == 1:
         return [g]
-    ints, _ = clear_denominators(g.coeffs)
-    lead = ints[-1]
-    n = len(ints) - 1
-    # monicize: G(x) = lead^(n-1) * g(x/lead) has integer coefficients
-    monic_int = [ints[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
-    p = _choose_prime(monic_int)
-    mod_factors = _berlekamp(_pm_monic([c % p for c in monic_int], p), p)
+    f = _int_primitive(clear_denominators(g.coeffs)[0])
+    lead, n = f[-1], len(f) - 1
+    p = _choose_prime(f)
+    mod_factors = _berlekamp(_pm_monic([c % p for c in f], p), p)
     if len(mod_factors) == 1:
         return [g]
-    norm2 = isqrt(sum(c * c for c in monic_int)) + 1
-    bound = comb(n, n // 2) * norm2
+    norm2 = isqrt(sum(c * c for c in f)) + 1
+    bound = lead * comb(n, n // 2) * norm2
     target = p
     while target <= 2 * bound:
         target *= p
-    lifted = _hensel_lift_all(_mod_reduce(monic_int, target),
+    inv = pow(lead, -1, target)
+    lifted = _hensel_lift_all([c * inv % target for c in f],
                               mod_factors, p, target)
-    int_factors = _recombine(monic_int, lifted, p, target)
-    out = []
-    for h in int_factors:
-        # undo monicization: substitute x -> lead*x, then rescale monic
-        coeffs = [Fraction(h[i]) * lead ** i for i in range(len(h))]
-        out.append(Poly.from_coeffs(coeffs).monic())
+    out = [Poly.from_coeffs(h).monic() for h in _recombine(f, lifted, target)]
     return sorted(out, key=lambda f: (f.degree, f.coeffs))
 
 
@@ -356,7 +362,7 @@ def factor(a: Poly) -> Factorization:
         return Factorization(unit, ())
     counts: dict[Poly, int] = {}
     for part, mult in squarefree_decomposition(a):
-        for irr in _factor_squarefree_monic(part):
+        for irr in _factor_squarefree(part):
             counts[irr] = counts.get(irr, 0) + mult
     factors = tuple(sorted(counts.items(),
                            key=lambda kv: (kv[0].degree, kv[0].coeffs)))

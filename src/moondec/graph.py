@@ -346,6 +346,17 @@ class _Refiner:
         return first, second
 
 
+def _one_level_splits(fun: RatFun, memo: dict):
+    """decompose_one_level(fun), or () below degree 2, kept in the caller's
+    memo so that one refinement or chain search decomposes each function
+    once."""
+    if fun.degree < 2:
+        return ()
+    if fun not in memo:
+        memo[fun] = decompose_one_level(fun)
+    return memo[fun]
+
+
 def refine_graph(graph: RelationGraph):
     """Split decomposable edges until a fixpoint; returns (graph, report).
 
@@ -355,6 +366,7 @@ def refine_graph(graph: RelationGraph):
     warning and the original edge is kept.
     """
     state = _Refiner(graph)
+    memo: dict = {}
     edges = sorted(graph.edges, key=_edge_sort_key)
     round_bound = 1 + sum(max(1, e.degree.bit_length())
                           for e in edges if e.degree >= 2)
@@ -380,7 +392,7 @@ def refine_graph(graph: RelationGraph):
             emitted[key] = e
 
         for edge in edges:
-            splits = decompose_one_level(edge.fun) if edge.degree >= 2 else ()
+            splits = _one_level_splits(edge.fun, memo)
             if not splits:
                 emit(edge)
                 continue
@@ -402,14 +414,6 @@ def refine_graph(graph: RelationGraph):
     return RelationGraph(tuple(state.nodes), tuple(edges)), state.report
 
 
-def _is_indecomposable(fun: RatFun, cache: dict) -> bool:
-    if fun.degree < 2:
-        return True
-    if fun not in cache:
-        cache[fun] = not decompose_one_level(fun)
-    return cache[fun]
-
-
 def maximal_chains(graph: RelationGraph, src: str, dst: str):
     """All simple directed paths src -> dst along indecomposable edges,
     sorted by length descending (ties broken lexicographically)."""
@@ -419,10 +423,10 @@ def maximal_chains(graph: RelationGraph, src: str, dst: str):
             raise UnknownNodeError(f"unknown node {name!r}")
     if src == dst:
         return [[]]
-    cache: dict = {}
+    memo: dict = {}
     adjacency: dict[str, list[GraphEdge]] = {}
     for e in sorted(graph.edges, key=_edge_sort_key):
-        if _is_indecomposable(e.fun, cache):
+        if not _one_level_splits(e.fun, memo):
             adjacency.setdefault(e.src, []).append(e)
     paths = []
 

@@ -35,6 +35,16 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def _monic_den(num: Poly, den: Poly) -> RatFun:
+    """num/den with den scaled monic, for num and den already coprime."""
+    if den.is_zero:
+        raise ZeroDenominatorError("zero denominator")
+    if num.is_zero:
+        return RatFun(ZERO, ONE)
+    scale = 1 / den.lc
+    return RatFun(num.scale(scale), den.scale(scale))
+
+
 @dataclass(frozen=True)
 class RatFun:
     num: Poly
@@ -43,16 +53,12 @@ class RatFun:
     @staticmethod
     def make(num: Poly, den: Poly) -> RatFun:
         """Reduce to canonical form (coprime, monic denominator)."""
-        if den.is_zero:
-            raise ZeroDenominatorError("zero denominator")
-        if num.is_zero:
-            return RatFun(ZERO, ONE)
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
-        scale = 1 / den.lc
-        return RatFun(num.scale(scale), den.scale(scale))
+        if not (num.is_zero or den.is_zero):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
+        return _monic_den(num, den)
 
     @staticmethod
     def identity() -> RatFun:
@@ -82,6 +88,8 @@ class RatFun:
     # field operations, used by the expression parser and by verification
 
     def __add__(self, other: RatFun) -> RatFun:
+        if self.den == ONE and other.den == ONE:
+            return RatFun(self.num + other.num, ONE)
         return RatFun.make(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 
@@ -92,6 +100,8 @@ class RatFun:
         return self + (-other)
 
     def __mul__(self, other: RatFun) -> RatFun:
+        if self.den == ONE and other.den == ONE:
+            return RatFun(self.num * other.num, ONE)
         return RatFun.make(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: RatFun) -> RatFun:
@@ -127,7 +137,15 @@ def power_basis(h: RatFun, m: int) -> list[Poly]:
 
 
 def compose(g: RatFun, h: RatFun) -> RatFun:
-    """g(h(x)), reduced.  Degrees multiply: deg(g o h) = deg g * deg h."""
+    """g(h(x)), reduced.  Degrees multiply: deg(g o h) = deg g * deg h.
+
+    The homogenized sums num = sum num(g)_i * hN^i * hD^(m-i) and
+    den = sum den(g)_i * hN^i * hD^(m-i), m = deg g, need no gcd: they are
+    coprime.  At a common root x0 with hD(x0) != 0 they are hD(x0)^m times
+    num(g) and den(g) at h(x0), which would be a common root of num(g) and
+    den(g); with hD(x0) = 0, hN(x0) != 0 and both reduce to the degree-m
+    coefficients of num(g) and den(g) times hN(x0)^m, which are not both 0.
+    """
     if h.is_constant:
         raise ConstantInnerError("inner function of a composition is constant")
     basis = power_basis(h, g.degree)
@@ -139,7 +157,7 @@ def compose(g: RatFun, h: RatFun) -> RatFun:
     for j, c in enumerate(g.den.coeffs):
         if c:
             den = den + basis[j].scale(c)
-    result = RatFun.make(num, den)
+    result = _monic_den(num, den)
     if not g.is_constant and result.degree != g.degree * h.degree:
         raise VerificationFailureError(
             "composition degree is not the product of the degrees")

@@ -56,6 +56,26 @@ FLAGSHIP_NUM = naive_mul(
 FLAGSHIP_DEN = naive_mul(naive_pow([-3, 1], 3), naive_pow([9, 3, 1], 3))
 
 
+# -- composition by homogenized sums ------------------------------------------
+
+def homogenized_composition(g_num, g_den, h_num, h_den):
+    """num and den of g o h before any reduction, as ascending lists.
+
+    Each is sum c_i * h_N^i * h_D^(m-i) over the coefficients c_i of num(g)
+    or den(g), with m = deg g; the zero function has m = 0.
+    """
+    m = max(len(g_num), len(g_den), 1) - 1
+
+    def combine(coeffs):
+        out = []
+        for i, c in enumerate(coeffs):
+            term = naive_mul(naive_pow(h_num, i), naive_pow(h_den, m - i))
+            out = naive_add(out, [Fraction(c) * t for t in term])
+        return out
+
+    return combine(g_num), combine(g_den)
+
+
 # -- outer component by an exact homogeneous linear system (sympy) ------------
 
 def outer_by_nullspace(f_num, f_den, h_num, h_den):

@@ -67,3 +67,21 @@ def test_flagship_chains_reach_nullspace_and_row_echelon(monkeypatch, flagship):
     decompose.all_chains(flagship)
     assert calls.get("nullspace", 0) >= 1
     assert calls.get("row_echelon", 0) >= 1
+
+
+def test_flagship_chains_still_reach_poly_gcd(monkeypatch, flagship):
+    # compose and polynomial-only RatFun arithmetic no longer take a gcd,
+    # but the traced self-test lists polynomials.poly_gcd for decompose
+    from moondec import decompose, polynomials, ratfun
+    calls = []
+    inner = polynomials.poly_gcd
+
+    def wrapper(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", wrapper)
+    monkeypatch.setattr(ratfun, "poly_gcd", wrapper)
+    decompose._chains_cached.cache_clear()
+    decompose.all_chains(flagship)
+    assert calls

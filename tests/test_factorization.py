@@ -119,3 +119,108 @@ def test_failed_invariant_is_a_verification_failure(monkeypatch):
     monkeypatch.setattr(Factorization, "expand", lambda self: ONE)
     with pytest.raises(VerificationFailureError):
         factor(P(-1, 0, 1))
+
+
+def _sympy_monic_factors(ints):
+    """unit and {monic factor coefficients: multiplicity} from sympy."""
+    import sympy as sp
+    x = sp.Symbol("x")
+    _, pairs = sp.Poly(list(reversed(ints)), x).factor_list()
+    out = {}
+    for fac, mult in pairs:
+        cs = [Fraction(int(c)) for c in reversed(fac.all_coeffs())]
+        out[tuple(c / cs[-1] for c in cs)] = mult
+    return Fraction(ints[-1]), out
+
+
+def _big_lead_factor(rng, degree, by_105):
+    lead = (105 * rng.randint(2 ** 34, 2 ** 35) if by_105
+            else rng.randint(2 ** 40, 2 ** 41))
+    return Poly.from_coeffs([rng.randint(-2 ** 20, 2 ** 20)
+                             for _ in range(degree)] + [lead])
+
+
+def test_factor_matches_sympy_on_large_non_monic_leads(monkeypatch):
+    # the lift runs on f/lc(f) and recombination multiplies lc(f) back in;
+    # sympy's factor_list is the oracle for factors, multiplicities, unit
+    from moondec import factorization
+    primes, splits = [], []
+    choose, berlekamp = factorization._choose_prime, factorization._berlekamp
+
+    def record_prime(f):
+        primes.append(choose(f))
+        return primes[-1]
+
+    def record_split(f, p):
+        splits.append(berlekamp(f, p))
+        return splits[-1]
+
+    monkeypatch.setattr(factorization, "_choose_prime", record_prime)
+    monkeypatch.setattr(factorization, "_berlekamp", record_split)
+    rng = random.Random(61)
+    inputs = []
+    for k in range(24):
+        target = ONE
+        for _ in range(rng.randint(2, 4)):
+            target = target * _big_lead_factor(rng, rng.randint(1, 5),
+                                               k % 2 == 0)
+        if k % 3 == 0:  # a repeated factor
+            target = target * _big_lead_factor(rng, 2, True) ** 2
+        inputs.append(target)
+    # degree >= 25: five degree-5 factors, so at least five modular factors
+    big = ONE
+    for _ in range(5):
+        big = big * _big_lead_factor(rng, 5, True)
+    inputs.append(big)
+    for k, target in enumerate(inputs):
+        ints = [int(c) for c in target.coeffs]
+        unit, want = _sympy_monic_factors(ints)
+        primes.clear()
+        fact = factor(target)
+        assert fact.unit == unit
+        assert {p.coeffs: m for p, m in fact.factors} == want
+        assert any(m > 1 for m in want.values()) == (k % 3 == 0 and k < 24)
+        if k % 2 == 0:
+            # 3, 5 and 7 divide every leading coefficient: all skipped
+            assert primes and min(primes) > 7
+    assert big.degree >= 25 and len(splits[-1]) >= 5
+
+
+def test_hensel_target_is_bounded_by_the_primitive_polynomial(monkeypatch):
+    # the modulus is the first power of p above 2*|lc|*C(n, n//2)*||f||_2,
+    # not a bound on the lc^(n-1)-inflated monic transform of f
+    from math import comb, isqrt
+
+    from moondec import factorization
+    seen = []
+    lift = factorization._hensel_lift_all
+
+    def record(f, mod_factors, p, target):
+        seen.append((p, target))
+        return lift(f, mod_factors, p, target)
+
+    monkeypatch.setattr(factorization, "_hensel_lift_all", record)
+    lifted = []
+    pair = factorization._hensel_pair
+
+    def record_pair(*args):
+        lifted.append((args[-1], pair(*args)))
+        return lifted[-1][1]
+
+    monkeypatch.setattr(factorization, "_hensel_pair", record_pair)
+    lead = 2 ** 60 + 33
+    a = P(3, -7, 0, 11, lead)
+    b = P(-5, 2, 9, 1)
+    f = a * b
+    fact = factor(f)
+    assert {p.coeffs: m for p, m in fact.factors} == {
+        a.monic().coeffs: 1, b.monic().coeffs: 1}
+    ints = [int(c) for c in f.coeffs]
+    n = len(ints) - 1
+    norm2_up = isqrt(sum(c * c for c in ints)) + 1  # ||f||_2 rounded up
+    p, target = seen[0]
+    bound = abs(ints[-1]) * comb(n, n // 2)
+    assert 2 * bound * isqrt(sum(c * c for c in ints)) < target
+    assert target < p * 2 * bound * norm2_up
+    # each lift stops at the target instead of squaring past it
+    assert lifted and all(max(g + h) < target for target, (g, h) in lifted)

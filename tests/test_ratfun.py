@@ -9,7 +9,7 @@ from moondec.errors import (
     ZeroDenominatorError,
 )
 from moondec.parsing import parse_ratfun
-from moondec.polynomials import ONE, Poly, X
+from moondec.polynomials import ONE, ZERO, Poly, X, poly_gcd
 from moondec.ratfun import (
     INFINITY,
     RatFun,
@@ -20,7 +20,13 @@ from moondec.ratfun import (
     unit,
     unit_inverse,
 )
-from oracles import FLAGSHIP_DEN, FLAGSHIP_NUM
+from oracles import (
+    FLAGSHIP_DEN,
+    FLAGSHIP_NUM,
+    homogenized_composition,
+    naive_add,
+    naive_mul,
+)
 
 
 def P(*coeffs):
@@ -196,3 +202,65 @@ def test_canonical_unit_scaling():
     assert unit(Fraction(2, 3), -2, 4, 8) == unit(1, -3, 6, 12)
     with pytest.raises(ZeroDenominatorError):
         unit(1, 2, 2, 4)
+
+
+def _random_poly(rng, degree):
+    return Poly.from_coeffs([rng.randint(-6, 6) for _ in range(degree)]
+                            + [rng.choice([-3, -1, 1, 2, 5])])
+
+
+def _random_unit(rng):
+    while True:
+        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
+        if a * d - b * c != 0:
+            return unit(a, b, c, d)
+
+
+def _random_function(rng, num_degree, den_degree):
+    while True:
+        f = RatFun.make(_random_poly(rng, num_degree),
+                        _random_poly(rng, den_degree))
+        if f.degree >= 1:
+            return f
+
+
+def test_compose_needs_no_gcd_against_homogenized_oracle():
+    # the homogenized sums of canonical g and h are coprime, so compose
+    # only scales the denominator monic
+    rng = random.Random(71)
+    for k in range(200):
+        kind = k % 5
+        if kind == 0:
+            g = RatFun.constant(rng.choice([0, 1, Fraction(-7, 3)]))
+        elif kind == 1:
+            g = _random_unit(rng)
+        else:
+            g = _random_function(rng, rng.randint(1, 4), rng.randint(0, 3))
+        if kind == 1 or k % 7 == 0:
+            h = _random_unit(rng)
+        elif kind in (2, 3):  # deg num(h) <= deg den(h)
+            dd = rng.randint(1, 3)
+            h = _random_function(rng, rng.randint(0, dd), dd)
+        else:
+            h = _random_function(rng, rng.randint(1, 3), rng.randint(0, 2))
+        num, den = homogenized_composition(
+            list(g.num.coeffs), list(g.den.coeffs),
+            list(h.num.coeffs), list(h.den.coeffs))
+        num, den = Poly.from_coeffs(num), Poly.from_coeffs(den)
+        if not num.is_zero:
+            assert poly_gcd(num, den).degree == 0
+        assert compose(g, h) == RatFun.make(num, den)
+
+
+def test_polynomial_sum_and_product_are_canonical_without_a_gcd():
+    rng = random.Random(72)
+    for k in range(100):
+        a = RatFun(_random_poly(rng, rng.randint(0, 5)), ONE)
+        b = (-a if k % 5 == 0
+             else RatFun(_random_poly(rng, rng.randint(0, 5)), ONE))
+        total = naive_add(list(a.num.coeffs), list(b.num.coeffs))
+        product = naive_mul(list(a.num.coeffs), list(b.num.coeffs))
+        assert a + b == RatFun.make(Poly.from_coeffs(total), ONE)
+        assert a * b == RatFun.make(Poly.from_coeffs(product), ONE)
+        if k % 5 == 0:
+            assert (a + b).num == ZERO and (a + b).den == ONE
