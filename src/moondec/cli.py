@@ -15,7 +15,7 @@ import sys
 from math import lcm
 
 from moondec.bivariate import bivariate_text
-from moondec.decompose import all_chains, decompose_one_level
+from moondec.decompose import DecompositionChain, all_chains, decompose_one_level
 from moondec.errors import (
     InsufficientPrecisionError,
     MoondecError,
@@ -35,7 +35,7 @@ from moondec.graph import (
     refine_graph,
 )
 from moondec.parsing import parse_ratfun
-from moondec.ratfun import compose, ratfun_text
+from moondec.ratfun import ratfun_text
 from moondec.relations import (
     Relation,
     degree_from_areas,
@@ -152,10 +152,7 @@ def _cmd_decompose(args) -> int:
     if args.verify:
         for parts in chains:
             parsed = [parse_ratfun(ratfun_text(c)) for c in parts]
-            recomposed = parsed[-1]
-            for part in reversed(parsed[:-1]):
-                recomposed = compose(part, recomposed)
-            if recomposed != f:
+            if DecompositionChain(tuple(parsed)).target() != f:
                 raise VerificationFailureError(
                     "printed decomposition does not compose back to the input")
     return 0

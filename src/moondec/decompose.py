@@ -33,6 +33,7 @@ from moondec.factorization import Factorization, factor
 from moondec.polynomials import ONE, Poly
 from moondec.ratfun import (
     RatFun,
+    _homogenized,
     compose,
     is_normal_form,
     power_basis,
@@ -140,7 +141,7 @@ def left_component(f: RatFun, h: RatFun):
     if den is None:
         return None
     g = RatFun.make(Poly.from_coeffs(num), Poly.from_coeffs(den))
-    if g.is_constant or compose(g, h) != f:
+    if g.is_constant or _homogenized(g, basis) != f:
         return None
     return Decomposition(g, h)
 

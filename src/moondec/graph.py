@@ -37,7 +37,7 @@ from moondec.errors import (
 )
 from moondec.parsing import parse_ratfun
 from moondec.ratfun import RatFun, compose, ratfun_text, unit, unit_inverse
-from moondec.relations import degree_from_areas, find_relation
+from moondec.relations import _diff_series, degree_from_areas, find_relation
 from moondec.series import (
     EXACT,
     GeneralLaurent,
@@ -45,7 +45,6 @@ from moondec.series import (
     eval_poly_at_series,
     eval_ratfun_at_series,
     power_support,
-    substitute_power,
 )
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
@@ -269,8 +268,7 @@ def _verified_fully(src_series: QSeries, dst_series: QSeries,
                     edge: GraphEdge) -> bool:
     """Edge check: the defining difference vanishes through its entire
     certified range, and that range reaches at least degree + 2."""
-    diff = substitute_power(src_series, edge.power) - \
-        eval_ratfun_at_series(edge.fun, dst_series)
+    diff = _diff_series(src_series, dst_series, edge.power, edge.fun)
     return diff.is_zero and diff.prec >= edge.degree + 2
 
 

@@ -136,6 +136,19 @@ def power_basis(h: RatFun, m: int) -> list[Poly]:
     return [hn_pow[i] * hd_pow[m - i] for i in range(m + 1)]
 
 
+def _homogenized(g: RatFun, basis: list[Poly]) -> RatFun:
+    """g o h from basis = power_basis(h, deg g), by the homogenized sums."""
+    num = ZERO
+    for i, c in enumerate(g.num.coeffs):
+        if c:
+            num = num + basis[i].scale(c)
+    den = ZERO
+    for j, c in enumerate(g.den.coeffs):
+        if c:
+            den = den + basis[j].scale(c)
+    return _monic_den(num, den)
+
+
 def compose(g: RatFun, h: RatFun) -> RatFun:
     """g(h(x)), reduced.  Degrees multiply: deg(g o h) = deg g * deg h.
 
@@ -148,16 +161,7 @@ def compose(g: RatFun, h: RatFun) -> RatFun:
     """
     if h.is_constant:
         raise ConstantInnerError("inner function of a composition is constant")
-    basis = power_basis(h, g.degree)
-    num = ZERO
-    for i, c in enumerate(g.num.coeffs):
-        if c:
-            num = num + basis[i].scale(c)
-    den = ZERO
-    for j, c in enumerate(g.den.coeffs):
-        if c:
-            den = den + basis[j].scale(c)
-    result = _monic_den(num, den)
+    result = _homogenized(g, power_basis(h, g.degree))
     if not g.is_constant and result.degree != g.degree * h.degree:
         raise VerificationFailureError(
             "composition degree is not the product of the degrees")

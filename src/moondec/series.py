@@ -16,6 +16,9 @@ Two kinds of value:
 Certified-precision rules: add/sub take the min; a product is certified
 through min(prec_a + lead_b, prec_b + lead_a); a quotient through
 min(prec_a - lead_b, prec_b - 2*lead_b + lead_a).
+
+Division and ``inner_series_solve`` are Newton iterations on kernel
+products (Brent & Kung, JACM 1978): each step doubles the exact length.
 """
 
 from __future__ import annotations
@@ -184,19 +187,17 @@ class GeneralLaurent:
         if prec < lead:
             raise EmptyPrecisionError(
                 "quotient has no certified coefficients left")
+        # b*inv = 1 + q^k*err, so inv - q^k*inv*err inverts b to q^(2k-1)
         length = prec - lead + 1
-        av = [self.coeff(la + i) if (self.prec == EXACT or la + i <= self.prec)
-              else Fraction(0) for i in range(length)]
-        bv = [other.coeff(lb + i) if (other.prec == EXACT or lb + i <= other.prec)
-              else Fraction(0) for i in range(length)]
-        b0 = bv[0]
-        quot = [Fraction(0)] * length
-        for i in range(length):
-            acc = av[i]
-            for j in range(1, i + 1):
-                if bv[j] and quot[i - j]:
-                    acc -= quot[i - j] * bv[j]
-            quot[i] = acc / b0
+        bv = list(other.coeffs[:length])
+        bv += [Fraction(0)] * (length - len(bv))
+        inv = [1 / bv[0]]
+        while len(inv) < length:
+            k = len(inv)
+            n = min(2 * k, length)
+            err = mul_fraction_seqs(bv[:n], inv, n)[k:]
+            inv += [-c for c in mul_fraction_seqs(err, inv, n - k)]
+        quot = mul_fraction_seqs(self.coeffs[:length], inv, length)
         return GeneralLaurent.make(lead, quot, prec)
 
     def __str__(self) -> str:
@@ -292,10 +293,11 @@ def eval_ratfun_at_series(f: RatFun, s) -> GeneralLaurent:
 def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     """The unique monic-1/q series s with f(s) = target.
 
-    Solved coefficient by coefficient: with s known through q^(k-1), the
-    first divergence of f(s_known) from the target sits at q^(k-d+1) and
-    equals d*lc(f_num) times the next coefficient, so every step is one
-    linear equation with that fixed nonzero pivot.
+    Solved by Newton iteration on P(y) = num(y) - target*den(y).  With d =
+    deg f and s_k = 1/q + c_0 + ... + c_(k-1) q^(k-1) exact, P'(s_k) leads
+    at q^(1-deg num) with the nonzero pivot d*lc(num), so the step
+    s_k - P(s_k)/P'(s_k) is exact through q^(2k): each step takes k to
+    2k+1 coefficients, and the target's precision caps the last one.
     """
     d = (f.num.degree if not f.num.is_zero else 0) - f.den.degree
     if d < 1:
@@ -308,25 +310,23 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     if target.coeff(-d) != lc:
         raise NoRationalSolutionError(
             f"leading coefficient must be {lc} with a monic 1/q ansatz")
-    pivot = d * lc
     kmax = target.prec + d - 1
-    dn = f.num.degree
+    dnum, dden = f.num.derivative(), f.den.derivative()
     known: list[Fraction] = []  # c_0, c_1, ... of the solution
-    for k in range(kmax + 1):
-        # The guess is an exact finite series (s truncated at q^(k-1), the
-        # rest genuinely zero), so evaluating f on it and reading the
-        # coefficient at q^(k-d+1) is exact; the padded precision merely
-        # truncates the computation above the exponent we need.
-        pad = k + 1 + dn
-        cs = [Fraction(1)] + known + [Fraction(0)] * (pad - k + 1)
-        guess = GeneralLaurent.make(-1, cs, pad)
-        value = eval_ratfun_at_series(f, guess)
-        residual = target.coeff(k - d + 1) - value.coeff(k - d + 1)
-        known.append(residual / pivot)
+    while len(known) <= kmax:
+        k = len(known)
+        n = min(2 * k + 1, kmax + 1)
+        # s_k is exact; precision q^(n-1) only cuts what this step needs
+        guess = GeneralLaurent.make(
+            -1, [Fraction(1)] + known + [Fraction(0)] * (n - k), n - 1)
+        value = (eval_poly_at_series(f.num, guess)
+                 - target * eval_poly_at_series(f.den, guess))
+        slope = (eval_poly_at_series(dnum, guess)
+                 - target * eval_poly_at_series(dden, guess))
+        step = value / slope
+        known += [-step.coeff(j) for j in range(k, n)]
     result = QSeries(tuple(known))
-    check = eval_ratfun_at_series(f, result)
-    bound = min(check.prec, target.prec)
-    if any(check.coeff(k) != target.coeff(k) for k in range(-d, bound + 1)):
+    if not (eval_ratfun_at_series(f, result) - target).is_zero:
         raise VerificationFailureError("forward check failed")
     return result
 

@@ -56,6 +56,59 @@ FLAGSHIP_NUM = naive_mul(
 FLAGSHIP_DEN = naive_mul(naive_pow([-3, 1], 3), naive_pow([9, 3, 1], 3))
 
 
+# -- series division and the inner-series solve, one coefficient at a time ---
+
+def naive_series_div(a, b, length):
+    """The first ``length`` coefficients of the power series a/b, b[0] != 0,
+    by the quadratic recurrence q_i = (a_i - sum_(j>=1) b_j q_(i-j)) / b_0.
+    Entries past the end of a or b count as 0."""
+    quot = []
+    for i in range(length):
+        acc = Fraction(a[i]) if i < len(a) else Fraction(0)
+        for j in range(1, min(i, len(b) - 1) + 1):
+            acc -= quot[i - j] * b[j]
+        quot.append(acc / b[0])
+    return quot
+
+
+def _scaled_eval(p, series, n):
+    """q^deg(p) * p(series/q) through q^(n-1), series a power series:
+    the sum of p_i * q^(deg p - i) * series^i."""
+    deg = len(p) - 1
+    out = [Fraction(0)] * n
+    power = [Fraction(1)]
+    for i, c in enumerate(p):
+        for k, v in enumerate(power[: max(n - (deg - i), 0)]):
+            out[deg - i + k] += Fraction(c) * v
+        power = naive_mul(power, series)[:n]
+    return out
+
+
+def naive_inner_solve(num, den, lead, target):
+    """c_0..c_kmax of the s = 1/q + sum c_k q^k with num(s)/den(s) = T.
+
+    num, den: ascending coefficient lists with d = deg num - deg den >= 1;
+    target: the coefficients of T from q^lead through its certified
+    q^prec, so kmax = prec + d - 1.  One coefficient per step: with s known
+    through q^(k-1), f(s) first differs from T at q^(k-d+1), by
+    d*lc(num)/lc(den) times c_k.  Raises ValueError with the error
+    category when the leading term of T rules out every solution.
+    """
+    d = len(num) - len(den)
+    lc = Fraction(num[-1]) / Fraction(den[-1])
+    if lead != -d:
+        raise ValueError("leading-mismatch")
+    if target[0] != lc:
+        raise ValueError("no-rational-solution")
+    known = []
+    for k in range(len(target) - 1):
+        series = [Fraction(1)] + known + [Fraction(0)]  # q*s through q^(k+1)
+        value = naive_series_div(_scaled_eval(num, series, k + 2),
+                                 _scaled_eval(den, series, k + 2), k + 2)
+        known.append((Fraction(target[k + 1]) - value[k + 1]) / (d * lc))
+    return known
+
+
 # -- composition by homogenized sums ------------------------------------------
 
 def homogenized_composition(g_num, g_den, h_num, h_den):

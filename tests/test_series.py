@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from moondec import series
 from moondec.errors import (
     LeadingMismatchError,
+    MoondecError,
     NoRationalSolutionError,
     SeriesZeroDivisionError,
     ZeroSeriesError,
@@ -17,12 +19,13 @@ from moondec.series import (
     EXACT,
     GeneralLaurent,
     QSeries,
+    eval_poly_at_series,
     eval_ratfun_at_series,
     inner_series_solve,
     power_support,
     substitute_power,
 )
-from oracles import j_expansion
+from oracles import j_expansion, naive_inner_solve, naive_series_div
 
 
 def L(lead, coeffs, prec):
@@ -57,6 +60,32 @@ def test_division_and_errors():
         assert back.coeff(k) == (a.coeff(k) if k <= a.prec else 0)
     with pytest.raises(SeriesZeroDivisionError):
         a / L(1, [], 0)
+
+
+def _random_laurent(rng, lead, length, prec):
+    head = rng.choice([c for c in range(-7, 8) if c])
+    return L(lead, [head] + [rng.randint(-9, 9) for _ in range(length - 1)],
+             prec)
+
+
+def test_division_matches_the_recurrence():
+    rng = random.Random(56)
+    for case in range(200):
+        la, lb = rng.randint(-3, 2), rng.randint(-3, 2)
+        na = 1 if case % 10 == 0 else rng.randint(1, 14)
+        nb = 1 if case % 10 == 1 else rng.randint(1, 14)
+        a_exact = case % 10 == 2
+        b_exact = case % 5 == 3
+        a = _random_laurent(rng, la, na, EXACT if a_exact else la + na - 1)
+        b = _random_laurent(rng, lb, nb, EXACT if b_exact else lb + nb - 1)
+        if a_exact:
+            prec = b.prec - 2 * lb + la
+        elif b_exact:
+            prec = a.prec - lb
+        else:
+            prec = min(a.prec - lb, b.prec - 2 * lb + la)
+        want = naive_series_div(a.coeffs, b.coeffs, prec - la + lb + 1)
+        assert a / b == GeneralLaurent.make(la - lb, want, prec)
 
 
 def test_minimal_precision_keeps_only_the_lead():
@@ -156,6 +185,53 @@ def test_inner_solve_round_trip_random():
         solved = inner_series_solve(f, target)
         overlap = min(s.prec, solved.prec)
         assert solved.coeffs[: overlap + 1] == s.coeffs[: overlap + 1]
+
+
+def test_inner_solve_matches_the_one_coefficient_solver():
+    rng = random.Random(57)
+    for case in range(60):
+        dn = rng.randint(1, 4)
+        dd = rng.randint(0, dn - 1)
+        f = None
+        while f is None or f.num.degree - f.den.degree < 1:
+            num = Poly.from_coeffs([rng.randint(-4, 4) for _ in range(dn)]
+                                   + [rng.choice([-3, -2, 2, 3, 5])])
+            den = Poly.from_coeffs(
+                [rng.randint(-4, 4) for _ in range(dd)] + [1])
+            f = RatFun.make(num, den)
+        d = f.num.degree - f.den.degree
+        lead = -d if case % 6 else rng.choice([-d - 1, -d + 1])
+        head = f.num.lc if case % 7 else f.num.lc + 1
+        length = 1 + (case // 5 % 4 if case % 5 == 1 else rng.randint(4, 24))
+        tail = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                for _ in range(length - 1)]
+        target = L(lead, [head] + tail, lead + length - 1)
+        try:
+            want = naive_inner_solve(f.num.coeffs, f.den.coeffs, lead,
+                                     [head] + tail)
+        except ValueError as exc:
+            with pytest.raises(MoondecError) as err:
+                inner_series_solve(f, target)
+            assert err.value.category == str(exc)
+            continue
+        assert list(inner_series_solve(f, target).coeffs) == want
+
+
+def test_inner_solve_evaluates_logarithmically_often(monkeypatch):
+    f = parse_ratfun("(2*x^3-x+1)/(x+3)")
+    rng = random.Random(58)
+    s = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(101)])
+    target = eval_ratfun_at_series(f, s)
+    calls = []
+
+    def counted(p, t):
+        calls.append(p)
+        return eval_poly_at_series(p, t)
+
+    monkeypatch.setattr(series, "eval_poly_at_series", counted)
+    solved = inner_series_solve(f, target)
+    assert solved.coeffs == s.coeffs
+    assert len(calls) < 40
 
 
 def test_power_support():

@@ -10,8 +10,8 @@ arithmetic:
 
 The partner series (named 9B: the hauptmodul related to j by the known
 degree-12 relation j(q^3) = f(9B(q))) is not copied from anywhere: it is
-derived by solving f(s) = j(q^3) coefficient by coefficient, which pins it
-uniquely.  The synthetic demo catalog plants a small relation by forward
+derived by solving f(s) = j(q^3) by Newton iteration on the series, which
+pins it uniquely.  The synthetic demo catalog plants a small relation by forward
 composition.
 
 Run from the repository root:  python3 tools/build_catalogs.py
