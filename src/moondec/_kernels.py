@@ -1,8 +1,12 @@
-"""Integer kernels: dense convolution and fraction-free elimination.
+"""Integer kernels: dense convolution, fraction-free elimination and
+Euclid modulo a prime.
 
-These two loops dominate the runtime of everything in this package (series
-and polynomial products run through integer convolution after denominators
-are cleared; every linear solve runs through the Bareiss echelon form).
+The first two loops dominate the runtime of everything in this package
+(series and polynomial products run through integer convolution; every
+linear solve runs through the Bareiss echelon form).  The ``pm_`` functions
+work on integer coefficient lists modulo a prime ``p`` (ascending, highest
+entry nonzero, the empty list zero); factorization splits with them, and
+``poly_gcd`` certifies coprimality with them.
 """
 
 BACKEND = "python"  # the only backend; benchmark runs record it
@@ -33,6 +37,43 @@ def poly_mul(a, b, mod=0, trunc=0):
         for i in range(n):
             out[i] %= mod
     return out
+
+
+def pm_trim(a):
+    """Drop high zero entries of ``a`` in place; returns ``a``."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def pm_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def pm_divrem(a, b, p):
+    """Quotient and remainder of ``a`` by nonzero ``b`` modulo ``p``."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * (da - db + 1)
+    for i in range(da, db - 1, -1):
+        c = rem[i] * inv % p
+        if c:
+            quot[i - db] = c
+            for j in range(db + 1):
+                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % p
+    return pm_trim(quot), pm_trim(rem[:db])
+
+
+def pm_gcd(a, b, p):
+    """Monic gcd of ``a`` and ``b`` modulo ``p`` (empty when both are 0)."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, pm_divrem(a, b, p)[1]
+    return pm_monic(a, p) if a else a
 
 
 def row_echelon(rows):

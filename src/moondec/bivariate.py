@@ -7,16 +7,9 @@ variable x; modular polynomials P(x, y) are values of this type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from moondec.polynomials import (
-    ZERO,
-    Poly,
-    clear_denominators,
-    poly_exact_div,
-    poly_gcd,
-)
+from moondec.polynomials import ZERO, Poly, poly_exact_div, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -57,12 +50,13 @@ class PolyOverPoly:
         else:
             reduced = list(self.coeffs)
         # clear rational content across all scalar coefficients
-        ints, mult = clear_denominators([f for c in reduced for f in c.coeffs])
-        scale = Fraction(mult, gcd(*ints))
-        if reduced[-1].lc < 0:
-            scale = -scale
-        reduced = [c.scale(scale) for c in reduced]
-        return PolyOverPoly(tuple(reduced))
+        mult = lcm(*(c.den for c in reduced))
+        ints = [[n * (mult // c.den) for n in c.nums] for c in reduced]
+        g = gcd(*(n for row in ints for n in row))
+        if ints[-1][-1] < 0:
+            g = -g
+        return PolyOverPoly(tuple(Poly(tuple(n // g for n in row), 1)
+                                  for row in ints))
 
     def __str__(self) -> str:
         return bivariate_text(self)

@@ -19,7 +19,9 @@ and is c*x, and monic numerators force c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from moondec import linalg
 from moondec.errors import (
@@ -97,16 +99,29 @@ def candidate_components(fbar: RatFun) -> list[RatFun]:
 def _expand(p: Poly, basis: list[Poly]):
     """Coefficients c with p = sum c[i] * basis[i], or None; the basis
     degrees increase strictly, so the top term of what is left pins one
-    coefficient, until a degree that no remaining basis element has."""
+    coefficient, until a degree that no remaining basis element has.
+
+    On the integers: what is left is rest/s, and a step subtracts
+    (rest[t]/s) / (b[t]/den(b)) times b = nums(b)/den(b), so that
+    rest <- b[t]/g * rest - rest[t]/g * nums(b) and s <- b[t]/g * s with
+    g = gcd(rest[t], b[t])."""
     coeffs = [0] * len(basis)
+    rest, s = list(p.nums), p.den
     i = len(basis) - 1
-    while not p.is_zero:
-        while i >= 0 and basis[i].degree > p.degree:
+    while rest:
+        t = len(rest) - 1
+        while i >= 0 and basis[i].degree > t:
             i -= 1
-        if i < 0 or basis[i].degree != p.degree:
+        if i < 0 or basis[i].degree != t:
             return None
-        coeffs[i] = p.lc / basis[i].lc
-        p = p + basis[i].scale(-coeffs[i])
+        b = basis[i].nums
+        g = gcd(rest[t], b[t])
+        mr, mb = b[t] // g, rest[t] // g
+        coeffs[i] = Fraction(rest[t] * basis[i].den, s * b[t])
+        rest = [mr * r - mb * c for r, c in zip(rest, b)]
+        s *= mr
+        while rest and rest[-1] == 0:
+            rest.pop()
         i -= 1
     return coeffs
 

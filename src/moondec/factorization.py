@@ -26,11 +26,11 @@ from itertools import combinations
 from math import comb, isqrt
 
 from moondec import _kernels
+from moondec._kernels import pm_divrem, pm_gcd, pm_monic, pm_trim
 from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
     _int_primitive,
-    clear_denominators,
     squarefree_decomposition,
 )
 
@@ -50,15 +50,10 @@ class Factorization:
 
 
 # -- arithmetic mod p on int coefficient lists -------------------------------
-
-def _pm_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
+# (trim, monic, divrem and gcd are the kernels' pm_ functions)
 
 def _pm_mul(a, b, p):
-    return _pm_trim(_kernels.poly_mul(a, b, p))
+    return pm_trim(_kernels.poly_mul(a, b, p))
 
 
 def _pm_add(a, b, p):
@@ -68,52 +63,24 @@ def _pm_add(a, b, p):
         out[i] = c
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return _pm_trim(out)
+    return pm_trim(out)
 
 
 def _pm_sub(a, b, p):
     return _pm_add(a, [-c for c in b], p)
 
 
-def _pm_monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _pm_divrem(a, b, p):
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return [], list(a)
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quot = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        c = rem[i] * inv % p
-        if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = (rem[i - db + j] - c * b[j]) % p
-    return _pm_trim(quot), _pm_trim(rem[:db])
-
-
-def _pm_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pm_divrem(a, b, p)[1]
-    return _pm_monic(a, p) if a else a
-
-
 def _pm_deriv(a, p):
-    return _pm_trim([i * c % p for i, c in enumerate(a)][1:])
+    return pm_trim([i * c % p for i, c in enumerate(a)][1:])
 
 
 def _pm_powmod(base, e, mod, p):
     result = [1]
-    base = _pm_divrem(base, mod, p)[1]
+    base = pm_divrem(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pm_divrem(_pm_mul(result, base, p), mod, p)[1]
-        base = _pm_divrem(_pm_mul(base, base, p), mod, p)[1]
+            result = pm_divrem(_pm_mul(result, base, p), mod, p)[1]
+        base = pm_divrem(_pm_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -159,7 +126,7 @@ def _berlekamp(f, p):
     power = [1]
     for _ in range(n):
         rows.append([power[j] if j < len(power) else 0 for j in range(n)])
-        power = _pm_divrem(_pm_mul(power, xp, p), f, p)[1]
+        power = pm_divrem(_pm_mul(power, xp, p), f, p)[1]
     # v with v(x)^p = v(x) mod f  <=>  v * (Q - I) = 0; work on the transpose.
     mt = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)]
           for i in range(n)]
@@ -169,7 +136,7 @@ def _berlekamp(f, p):
     if r == 1:
         return factors
     for vec in basis:
-        b = _pm_trim(list(vec))
+        b = pm_trim(list(vec))
         if len(b) <= 1:
             continue
         i = 0
@@ -181,10 +148,10 @@ def _berlekamp(f, p):
             for c in range(p):
                 shifted = list(b)
                 shifted[0] = (shifted[0] - c) % p
-                g = _pm_gcd(u, _pm_trim(shifted), p)
+                g = pm_gcd(u, pm_trim(shifted), p)
                 if 0 < len(g) - 1 < len(u) - 1:
                     factors[i] = g
-                    factors.append(_pm_divrem(u, g, p)[0])
+                    factors.append(pm_divrem(u, g, p)[0])
                     break
             else:
                 i += 1
@@ -201,7 +168,7 @@ def _pm_bezout(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pm_divrem(r0, r1, p)
+        q, r = pm_divrem(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _pm_sub(s0, _pm_mul(q, s1, p), p)
         t0, t1 = t1, _pm_sub(t0, _pm_mul(q, t1, p), p)
@@ -210,7 +177,7 @@ def _pm_bezout(a, b, p):
 
 
 def _mod_reduce(a, m):
-    return _pm_trim([c % m for c in a])
+    return pm_trim([c % m for c in a])
 
 
 def _hensel_pair(f, g, h, s, t, p, target):
@@ -222,13 +189,13 @@ def _hensel_pair(f, g, h, s, t, p, target):
         m2 = min(m * m, target)
         fm = _mod_reduce(f, m2)
         e = _pm_sub(fm, _kernels.poly_mul(g, h, m2), m2)
-        q, r = _pm_divrem(_kernels.poly_mul(s, e, m2), h, m2)
+        q, r = pm_divrem(_kernels.poly_mul(s, e, m2), h, m2)
         g = _pm_add(_pm_add(g, _kernels.poly_mul(t, e, m2), m2),
                     _kernels.poly_mul(q, g, m2), m2)
         h = _pm_add(h, r, m2)
         b = _pm_sub(_pm_add(_kernels.poly_mul(s, g, m2),
                             _kernels.poly_mul(t, h, m2), m2), [1], m2)
-        c, d = _pm_divrem(_kernels.poly_mul(s, b, m2), h, m2)
+        c, d = pm_divrem(_kernels.poly_mul(s, b, m2), h, m2)
         s = _pm_sub(s, d, m2)
         t = _pm_sub(t, _pm_add(_kernels.poly_mul(t, b, m2),
                                _kernels.poly_mul(c, g, m2), m2), m2)
@@ -323,10 +290,10 @@ def _choose_prime(f_int):
     p = 3
     while True:
         if _is_prime(p):
-            fp = _pm_trim([c % p for c in f_int])
+            fp = pm_trim([c % p for c in f_int])
             if len(fp) == len(f_int):
                 d = _pm_deriv(fp, p)
-                if d and len(_pm_gcd(fp, d, p)) == 1:
+                if d and len(pm_gcd(fp, d, p)) == 1:
                     return p
         p += 2
 
@@ -335,10 +302,10 @@ def _factor_squarefree(g: Poly) -> list[Poly]:
     """Irreducible monic factors of a monic squarefree polynomial."""
     if g.degree == 1:
         return [g]
-    f = _int_primitive(clear_denominators(g.coeffs)[0])
+    f = _int_primitive(list(g.nums))
     lead, n = f[-1], len(f) - 1
     p = _choose_prime(f)
-    mod_factors = _berlekamp(_pm_monic([c % p for c in f], p), p)
+    mod_factors = _berlekamp(pm_monic([c % p for c in f], p), p)
     if len(mod_factors) == 1:
         return [g]
     norm2 = isqrt(sum(c * c for c in f)) + 1
@@ -349,7 +316,7 @@ def _factor_squarefree(g: Poly) -> list[Poly]:
     inv = pow(lead, -1, target)
     lifted = _hensel_lift_all([c * inv % target for c in f],
                               mod_factors, p, target)
-    out = [Poly.from_coeffs(h).monic() for h in _recombine(f, lifted, target)]
+    out = [Poly.make(h, h[-1]) for h in _recombine(f, lifted, target)]
     return sorted(out, key=lambda f: (f.degree, f.coeffs))
 
 

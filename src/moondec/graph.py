@@ -457,7 +457,7 @@ def modular_polynomial(f1: RatFun, k1: int, f2: RatFun, k2: int) -> PolyOverPoly
     """
     if k1 == k2:
         raise IdenticalPowersError("the two powers must differ")
-    top = max(len(f1.num.coeffs), len(f1.den.coeffs)) - 1
+    top = max(len(f1.num.nums), len(f1.den.nums)) - 1
     coeffs = [f2.den.scale(f1.num.coeff(i)) - f2.num.scale(f1.den.coeff(i))
               for i in range(top + 1)]
     return PolyOverPoly.from_coeffs(coeffs).content_reduced()

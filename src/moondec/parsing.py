@@ -17,6 +17,8 @@ faster than its text.  A power is checked before it is computed.
 
 from __future__ import annotations
 
+from math import gcd
+
 from moondec.errors import RatFunSyntaxError
 from moondec.ratfun import RatFun
 
@@ -113,11 +115,12 @@ def _power(tok: _Tokenizer) -> RatFun:
 
 def _bits(f: RatFun) -> int:
     """Estimated coefficient bits of f^n per unit of n: the largest
-    coefficient's bits plus the bits of the term count."""
-    coeffs = f.num.coeffs + f.den.coeffs
-    top = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-              for c in coeffs)
-    return top + len(coeffs).bit_length()
+    coefficient's bits in lowest terms, numerator or denominator, plus the
+    bits of the term count."""
+    top = max(max((n // g).bit_length(), (p.den // g).bit_length())
+              for p in (f.num, f.den) for n in p.nums
+              for g in (gcd(n, p.den),))
+    return top + (len(f.num.nums) + len(f.den.nums)).bit_length()
 
 
 def _atom(tok: _Tokenizer) -> RatFun:

@@ -1,12 +1,13 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-A polynomial is a tuple of ``Fraction`` coefficients, index i holding the
-coefficient of x^i, highest stored coefficient nonzero; the empty tuple is
-the zero polynomial.  The degree of the zero polynomial is the
-``MINUS_INFINITY`` sentinel, never a number.
-
-Products are routed through the integer convolution kernel: denominators
-are cleared once per operand instead of once per coefficient pair.
+A polynomial is stored as integer numerators over one positive common
+denominator, ``nums[i] / den`` the coefficient of x^i, in canonical form:
+the highest stored numerator is nonzero, ``den > 0`` and
+``gcd(den, *nums) == 1``.  The zero polynomial is ``Poly((), 1)``.  Equal
+values therefore have equal fields, so dataclass equality and hashing are
+value equality.  All arithmetic runs on the integers; ``coeffs`` is a
+derived ``Fraction`` view for text output and sort keys.  The degree of the
+zero polynomial is the ``MINUS_INFINITY`` sentinel, never a number.
 """
 
 from __future__ import annotations
@@ -50,60 +51,92 @@ def clear_denominators(coeffs):
 
 
 def mul_fraction_seqs(a, b, trunc=0):
-    """Convolve two sequences of Fractions via the integer kernel."""
-    if not a or not b:
-        return []
-    ia, da = clear_denominators(a)
-    ib, db = clear_denominators(b)
-    d = da * db
-    return [Fraction(c, d) for c in _kernels.poly_mul(ia, ib, 0, trunc)]
+    """Product of ``a = (ints, den)`` and ``b`` through the integer kernel:
+    ``(ints_a * ints_b, den_a * den_b)``, the first ``trunc`` entries when
+    ``trunc > 0``; the one entry point of every exact product."""
+    (ia, da), (ib, db) = a, b
+    return _kernels.poly_mul(ia, ib, 0, trunc), da * db
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Immutable dense polynomial over the rationals."""
+    """Immutable dense polynomial over the rationals: nums/den, canonical."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @staticmethod
+    def make(nums, den: int) -> Poly:
+        """The polynomial nums/den in canonical form, for a sequence of ints
+        nums and an int den != 0."""
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            return ZERO
+        if den < 0:
+            den = -den
+            nums = [-n for n in nums]
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [n // g for n in nums]
+        return Poly(tuple(nums), den)
 
     @staticmethod
     def from_coeffs(values) -> Poly:
         """Build from any iterable of ints/Fractions, trimming high zeros."""
-        cs = [Fraction(v) for v in values]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        return Poly.make(*clear_denominators(list(values)))
 
     @staticmethod
     def constant(value) -> Poly:
         return Poly.from_coeffs([value])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, index i holding that of x^i."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+        return len(self.nums) - 1 if self.nums else MINUS_INFINITY
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
+        return Fraction(0)
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            a = [n * ma for n in a]
+            b = [n * mb for n in b]
+            den *= ma
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly.from_coeffs(out)
+        return Poly.make(out, den)
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -113,13 +146,15 @@ class Poly:
             return other
         if other == ONE:
             return self
-        return Poly.from_coeffs(mul_fraction_seqs(self.coeffs, other.coeffs))
+        return Poly.make(*mul_fraction_seqs((self.nums, self.den),
+                                            (other.nums, other.den)))
 
     def scale(self, k) -> Poly:
-        k = Fraction(k)
+        """k * self for an int or Fraction k."""
         if k == 0:
             return ZERO
-        return Poly(tuple(c * k for c in self.coeffs))
+        return Poly.make([n * k.numerator for n in self.nums],
+                         self.den * k.denominator)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -137,18 +172,25 @@ class Poly:
     def monic(self) -> Poly:
         if self.is_zero:
             raise ZeroPolyError("cannot normalize the zero polynomial")
-        return self.scale(1 / self.lc)
+        if self.nums[-1] == self.den:
+            return self
+        return Poly.make(self.nums, self.nums[-1])
 
     def derivative(self) -> Poly:
-        return Poly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly.make([i * n for i, n in enumerate(self.nums)][1:],
+                         self.den)
 
     def evaluate(self, point) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """self(point) for an int or Fraction point, by integer Horner on
+        the homogenized sum of nums[i] * p^i * q^(deg - i), point = p/q."""
+        if not self.nums:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        acc, qk = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * qk
+            qk *= q
+        return Fraction(acc, self.den * (qk // q))
 
     def __str__(self) -> str:
         return poly_text(self)
@@ -157,9 +199,9 @@ class Poly:
         return f"Poly({poly_text(self)})"
 
 
-ZERO = Poly(())
-ONE = Poly((Fraction(1),))
-X = Poly((Fraction(0), Fraction(1)))
+ZERO = Poly((), 1)
+ONE = Poly((1,), 1)
+X = Poly((0, 1), 1)
 
 
 def poly_text(p: Poly, var: str = "x") -> str:
@@ -183,24 +225,38 @@ def poly_text(p: Poly, var: str = "x") -> str:
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Exact division with remainder: a = q*b + r, deg r < deg b."""
+    """Exact division with remainder: a = q*b + r, deg r < deg b.
+
+    Fraction-free: s * nums(a) = quot * nums(b) + rem over the integers,
+    where s is the product of the scalings so far; when lc(nums(b)) does not
+    divide the top of rem, a step first scales rem, quot and s by
+    |lc| / gcd(top, lc)."""
     if b.is_zero:
         raise ZeroDivisionPolyError("division by the zero polynomial")
-    if a.is_zero or len(a.coeffs) < len(b.coeffs):
+    if a.is_zero or len(a.nums) < len(b.nums):
         return ZERO, a
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    inv_lead = 1 / b.lc
-    quot = [Fraction(0)] * (len(rem) - db)
+    nb = b.nums
+    db = len(nb) - 1
+    lead = nb[-1]
+    rem = list(a.nums)
+    quot = [0] * (len(rem) - db)
+    s = 1
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c == 0:
             continue
-        q = c * inv_lead
-        quot[i - db] = q
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= q * bc
-    return Poly.from_coeffs(quot), Poly.from_coeffs(rem[:db])
+        m = abs(lead) // gcd(c, lead)
+        if m != 1:
+            rem = [r * m for r in rem]
+            quot = [x * m for x in quot]
+            s *= m
+            c *= m
+        qc = c // lead
+        quot[i - db] = qc
+        for j in range(db + 1):
+            rem[i - db + j] -= qc * nb[j]
+    return (Poly.make([x * b.den for x in quot], s * a.den),
+            Poly.make(rem[:db], s * a.den))
 
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
@@ -240,21 +296,36 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+# 2^61 - 1: images mod this prime certify coprimality (see poly_gcd)
+GCD_PRIME = (1 << 61) - 1
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (primitive PRS over the integers)."""
+    """Monic greatest common divisor (primitive PRS over the integers).
+
+    Before the PRS, Euclid runs on the images mod GCD_PRIME of the
+    primitive integer inputs when the prime divides neither leading
+    coefficient.  A gcd of degree 0 there certifies ONE: a common factor
+    over Z divides both inputs, so its leading coefficient divides theirs
+    and its image mod the prime keeps its degree and divides both images.
+    """
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd of two zero polynomials")
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    fa = _int_primitive(clear_denominators(a.coeffs)[0])
-    fb = _int_primitive(clear_denominators(b.coeffs)[0])
+    fa = _int_primitive(list(a.nums))
+    fb = _int_primitive(list(b.nums))
     if len(fa) < len(fb):
         fa, fb = fb, fa
+    p = GCD_PRIME
+    if fa[-1] % p and fb[-1] % p and len(_kernels.pm_gcd(
+            [c % p for c in fa], [c % p for c in fb], p)) == 1:
+        return ONE
     while fb:
         fa, fb = fb, _int_primitive(_int_pseudo_rem(fa, fb))
-    return Poly.from_coeffs(fa).monic()
+    return Poly.make(fa, fa[-1])
 
 
 def squarefree_decomposition(a: Poly) -> list[tuple[Poly, int]]:

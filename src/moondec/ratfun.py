@@ -13,6 +13,8 @@ point of the decomposition algorithm.  A unit is a degree-1 function
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from moondec.errors import (
     ConstantInnerError,
@@ -20,7 +22,15 @@ from moondec.errors import (
     VerificationFailureError,
     ZeroDenominatorError,
 )
-from moondec.polynomials import ONE, ZERO, Poly, X, poly_gcd, poly_exact_div, poly_text
+from moondec.polynomials import (
+    ONE,
+    ZERO,
+    Poly,
+    X,
+    poly_exact_div,
+    poly_gcd,
+    poly_text,
+)
 
 
 class _Infinity:
@@ -41,8 +51,7 @@ def _monic_den(num: Poly, den: Poly) -> RatFun:
         raise ZeroDenominatorError("zero denominator")
     if num.is_zero:
         return RatFun(ZERO, ONE)
-    scale = 1 / den.lc
-    return RatFun(num.scale(scale), den.scale(scale))
+    return RatFun(num.scale(Fraction(den.den, den.nums[-1])), den.monic())
 
 
 @dataclass(frozen=True)
@@ -136,17 +145,25 @@ def power_basis(h: RatFun, m: int) -> list[Poly]:
     return [hn_pow[i] * hd_pow[m - i] for i in range(m + 1)]
 
 
+def _combination(ints: tuple[int, ...], basis: list[Poly]) -> Poly:
+    """sum ints[i] * basis[i], over the lcm of the basis denominators."""
+    terms = [(c, b) for c, b in zip(ints, basis) if c]
+    den = lcm(*(b.den for _, b in terms))
+    out = [0] * max((len(b.nums) for _, b in terms), default=0)
+    for c, b in terms:
+        m = c * (den // b.den)
+        for k, n in enumerate(b.nums):
+            out[k] += m * n
+    return Poly.make(out, den)
+
+
 def _homogenized(g: RatFun, basis: list[Poly]) -> RatFun:
-    """g o h from basis = power_basis(h, deg g), by the homogenized sums."""
-    num = ZERO
-    for i, c in enumerate(g.num.coeffs):
-        if c:
-            num = num + basis[i].scale(c)
-    den = ZERO
-    for j, c in enumerate(g.den.coeffs):
-        if c:
-            den = den + basis[j].scale(c)
-    return _monic_den(num, den)
+    """g o h from basis = power_basis(h, deg g), by the homogenized sums
+    num(g)_i * basis[i] and den(g)_i * basis[i]; the common denominators of
+    num(g) and den(g) only scale the two sums."""
+    num = _combination(g.num.nums, basis)
+    den = _combination(g.den.nums, basis)
+    return _monic_den(num.scale(Fraction(g.den.den, g.num.den)), den)
 
 
 def compose(g: RatFun, h: RatFun) -> RatFun:

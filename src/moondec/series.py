@@ -37,10 +37,19 @@ from moondec.errors import (
     VerificationFailureError,
     ZeroSeriesError,
 )
-from moondec.polynomials import mul_fraction_seqs
+from moondec.polynomials import clear_denominators, mul_fraction_seqs
 from moondec.ratfun import RatFun
 
 EXACT = 10 ** 9  # precision sentinel: exactly known, finitely supported
+
+
+def _mul_seqs(a, b, trunc=0):
+    """Convolve two sequences of Fractions through the product kernel."""
+    if not a or not b:
+        return []
+    ints, d = mul_fraction_seqs(clear_denominators(a), clear_denominators(b),
+                                trunc)
+    return [Fraction(c, d) for c in ints]
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,7 @@ class GeneralLaurent:
             raise EmptyPrecisionError(
                 "product has no certified coefficients left")
         length = 0 if prec == EXACT else prec - lead + 1
-        cs = mul_fraction_seqs(self.coeffs, other.coeffs, length)
+        cs = _mul_seqs(self.coeffs, other.coeffs, length)
         if prec != EXACT and len(cs) < length:
             cs.extend([Fraction(0)] * (length - len(cs)))
         return GeneralLaurent.make(lead, cs, prec)
@@ -195,9 +204,9 @@ class GeneralLaurent:
         while len(inv) < length:
             k = len(inv)
             n = min(2 * k, length)
-            err = mul_fraction_seqs(bv[:n], inv, n)[k:]
-            inv += [-c for c in mul_fraction_seqs(err, inv, n - k)]
-        quot = mul_fraction_seqs(self.coeffs[:length], inv, length)
+            err = _mul_seqs(bv[:n], inv, n)[k:]
+            inv += [-c for c in _mul_seqs(err, inv, n - k)]
+        quot = _mul_seqs(self.coeffs[:length], inv, length)
         return GeneralLaurent.make(lead, quot, prec)
 
     def __str__(self) -> str:

@@ -48,6 +48,24 @@ def naive_eval(a, point):
     return acc
 
 
+def naive_divrem(a, b):
+    """(q, r) with a = q*b + r and len(r) < len(b), by schoolbook long
+    division one Fraction at a time; b must have a nonzero last entry."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        q = rem[i + len(b) - 1] / Fraction(b[-1])
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * Fraction(c)
+    rem = rem[:len(b) - 1]
+    while quot and quot[-1] == 0:
+        quot.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
 # expanded numerator and denominator of the flagship function,
 # x^3 (x+6)^3 (x^2-6x+36)^3  and  (x-3)^3 (x^2+3x+9)^3
 FLAGSHIP_NUM = naive_mul(

@@ -1,4 +1,6 @@
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -88,3 +90,26 @@ def test_oversized_powers_rejected_before_computing():
     _rejected_fast("7^10000000")
     _rejected_fast("(123456789*x)^500")
     _rejected_fast("1" * 5000)
+
+
+def test_power_cap_bits_read_the_coefficients_in_lowest_terms():
+    # the cap's estimate is that of each coefficient as a reduced Fraction,
+    # so the integer storage accepts and rejects exactly the same powers
+    def fraction_bits(f):
+        coeffs = f.num.coeffs + f.den.coeffs
+        top = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                  for c in coeffs)
+        return top + len(coeffs).bit_length()
+
+    rng = random.Random(12)
+    cases = [parse_ratfun("0"), parse_ratfun("x^3/7"), RatFun.identity()]
+    for _ in range(60):
+        num = Poly.from_coeffs(
+            [Fraction(rng.randint(-2 ** 40, 2 ** 40) * rng.randint(0, 1),
+                      rng.randint(1, 2 ** rng.randint(1, 60)))
+             for _ in range(rng.randint(1, 6))])
+        den = Poly.from_coeffs([Fraction(rng.randint(-99, 99), rng.randint(1, 8))
+                                for _ in range(rng.randint(0, 4))] + [1])
+        cases.append(RatFun.make(num, den))
+    for f in cases:
+        assert parsing._bits(f) == fraction_bits(f)

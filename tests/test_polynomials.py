@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moondec.errors import BothZeroError, ZeroDivisionPolyError, ZeroPolyError
+from moondec import polynomials
 from moondec.polynomials import (
+    GCD_PRIME,
     MINUS_INFINITY,
     ONE,
+    ZERO,
     Poly,
     X,
     poly_divrem,
@@ -16,7 +20,15 @@ from moondec.polynomials import (
     poly_text,
     squarefree_decomposition,
 )
-from oracles import FLAGSHIP_NUM, FLAGSHIP_DEN, naive_mul, naive_pow
+from oracles import (
+    FLAGSHIP_DEN,
+    FLAGSHIP_NUM,
+    naive_add,
+    naive_divrem,
+    naive_eval,
+    naive_mul,
+    naive_pow,
+)
 
 
 def P(*coeffs):
@@ -140,3 +152,156 @@ def test_text_round_trip_shapes():
     assert poly_text(P(0)) == "0"
     assert poly_text(P(Fraction(3, 2), 0, -1)) == "-x^2+3/2"
     assert poly_text(X) == "x"
+
+
+# -- the integer core against the naive Fraction oracles ----------------------
+
+def assert_canonical(p):
+    """nums/den trimmed, den > 0 and gcd(den, *nums) == 1, all ints."""
+    assert type(p.nums) is tuple and all(type(n) is int for n in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+
+
+def check(p, expected):
+    assert_canonical(p)
+    assert list(p.coeffs) == naive_add(expected, [])
+
+
+KINDS = ("zero", "constant", "integer", "fraction", "large denominator")
+
+
+def random_coeffs(rng, kind):
+    if kind == "zero":
+        return []
+    if kind == "constant":
+        return [Fraction(rng.choice([-7, -1, 1, 3]), rng.randint(1, 5))]
+    n = rng.randint(2, 7)
+    if kind == "integer":
+        cs = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+    elif kind == "fraction":
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              for _ in range(n)]
+    else:
+        cs = [Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 90))
+              for _ in range(n)]
+    cs[-1] = cs[-1] or Fraction(rng.choice([-2, 5]))
+    return cs
+
+
+def test_integer_core_matches_the_naive_oracles():
+    rng = random.Random(8)
+    cases = [random_coeffs(rng, KINDS[k % len(KINDS)]) for k in range(40)]
+    points = (0, 1, -2, Fraction(3, 7), Fraction(-5, 2 ** 40))
+    for ac in cases:
+        a = Poly.from_coeffs(ac)
+        check(a, ac)
+        check(-a, naive_mul(ac, [-1]))
+        check(a + (-a), [])  # cancels to zero
+        check(a - a, [])
+        check(a.derivative(), [i * c for i, c in enumerate(ac)][1:])
+        k = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 2 ** 64))
+        check(a.scale(k), naive_mul(ac, [k]))
+        check(a.scale(-3), naive_mul(ac, [-3]))
+        check(a.scale(0), [])
+        if ac:
+            check(a.monic(), [c / ac[-1] for c in ac])
+        for point in points:
+            assert a.evaluate(point) == naive_eval(ac, Fraction(point))
+        for bc in rng.sample(cases, 8):
+            b = Poly.from_coeffs(bc)
+            check(a + b, naive_add(ac, bc))
+            check(a - b, naive_add(ac, naive_mul(bc, [-1])))
+            check(a * b, naive_mul(ac, bc))
+            if not bc:
+                continue
+            q, r = poly_divrem(a, b)
+            want_q, want_r = naive_divrem(ac, bc)
+            check(q, want_q)
+            check(r, want_r)
+            q, r = poly_divrem(a * b, b)  # exact: the remainder cancels
+            check(q, ac)
+            check(r, [])
+
+
+def test_equal_values_have_equal_fields_and_hashes():
+    half = Fraction(1, 2)
+    forms = [
+        Poly.from_coeffs([half, 1]),
+        Poly.from_coeffs([Fraction(2, 4), Fraction(3, 3)]),
+        P(1, 2).scale(half),
+        P(-3, -6).scale(Fraction(-1, 6)),
+        P(1, 2, 5) - P(half, 1, 5),
+        poly_divrem(P(1, 2) * P(0, 3), P(0, 6))[0],
+        P(2, 4).monic(),
+        P(half, 1) ** 2 - P(Fraction(1, 4), 0, 1) - X + P(half, 1) - ZERO,
+    ]
+    for p in forms:
+        assert_canonical(p)
+        assert (p.nums, p.den) == ((1, 2), 2)
+        assert p == forms[0] and hash(p) == hash(forms[0])
+    assert len(set(forms)) == 1
+    assert ZERO == Poly((), 1) and P(0, 0) == ZERO
+    assert_canonical(Poly.from_coeffs([]))
+
+
+# -- coprimality certified mod GCD_PRIME ----------------------------------------
+
+def test_coprime_pair_is_certified_without_the_prs(monkeypatch):
+    calls = []
+    prs = polynomials._int_pseudo_rem
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return prs(a, b)
+
+    monkeypatch.setattr(polynomials, "_int_pseudo_rem", counting)
+    a, b = P(1, 1) ** 500, P(2, 1) ** 500
+    assert poly_gcd(a, b) == ONE
+    assert poly_gcd(b, a.scale(Fraction(1, 3))) == ONE
+    assert calls == []
+    # a common factor still goes through the PRS
+    assert poly_gcd(a, P(1, 1) ** 3 * P(5, 1)) == P(1, 1) ** 3
+    assert calls
+
+
+def sympy_gcd(a, b):
+    import sympy as sp
+    x = sp.Symbol("x")
+
+    def to_sympy(p):
+        return sp.Poly([sp.Rational(c.numerator, c.denominator)
+                        for c in reversed(p.coeffs)], x, domain="QQ")
+
+    g = to_sympy(a).gcd(to_sympy(b)).monic()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+
+
+def test_gcd_matches_sympy_on_planted_common_factors():
+    # leads that are multiples of GCD_PRIME drop a degree mod the prime:
+    # on a common factor (kind 0) the images can be coprime although the
+    # inputs are not, so the certificate must not run there
+    rng = random.Random(61)
+
+    def factor_coeffs(degree, lead):
+        return [rng.randint(-60, 60) for _ in range(degree)] + [lead]
+
+    def small_lead():
+        return rng.choice([-3, -1, 1, 2, 7])
+
+    for k in range(36):
+        kind = k % 3
+        g = factor_coeffs(rng.randint(1, 3), GCD_PRIME * rng.randint(1, 3)
+                          if kind == 0 else small_lead())
+        u = factor_coeffs(rng.randint(0, 4), GCD_PRIME if kind == 1
+                          else small_lead())
+        v = factor_coeffs(rng.randint(0, 4), small_lead())
+        a = Poly.from_coeffs(naive_mul(g, u)).scale(
+            Fraction(1, rng.randint(1, 9)))
+        b = Poly.from_coeffs(naive_mul(g, v)).scale(rng.randint(1, 9))
+        got = poly_gcd(a, b)
+        assert_canonical(got)
+        assert list(got.coeffs) == sympy_gcd(a, b)
+        assert got.degree >= len(g) - 1
+        assert poly_gcd(b, a) == got
