@@ -7,7 +7,8 @@ edges whose f decomposes as g o h, introducing the intermediate series
 h(dst(q)) (re-indexed through its power support) as a new node, until every
 edge is degree-wise unsplittable.
 
-Catalog format: one JSON record per line with fields ``name`` (text),
+Catalog format: one JSON record per line with fields ``name`` (text
+without '"', backslash, control characters or line breaks),
 ``area`` (rational text "p" or "p/q"), ``coeffs`` (array of rational text,
 index k = coefficient of q^k).  The 1/q term is implicit and must not be
 listed; an optional ``lead`` field (default "1") exists only so that
@@ -36,10 +37,11 @@ from moondec.errors import (
     VerificationFailureError,
 )
 from moondec.parsing import parse_ratfun
+from moondec.polynomials import Poly
 from moondec.ratfun import RatFun, compose, ratfun_text, unit, unit_inverse
 from moondec.relations import _diff_series, degree_from_areas, find_relation
 from moondec.series import (
-    EXACT,
+    ZERO_SERIES,
     GeneralLaurent,
     QSeries,
     eval_poly_at_series,
@@ -48,6 +50,8 @@ from moondec.series import (
 )
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# '"', backslash, the C0 and C1 controls and the Unicode line breaks
+_BAD_NAME_RE = re.compile(r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029]')
 
 
 def _parse_rational(text, lineno) -> Fraction:
@@ -68,8 +72,11 @@ def _parse_coeffs(value, lineno) -> list[Fraction]:
 
 
 def _parse_name(value, field, lineno) -> str:
-    if not isinstance(value, str) or not value:
-        raise CatalogParseError(f"{field} must be a nonempty string", lineno)
+    """A name that DOT quotes and one-line output carry verbatim."""
+    if not isinstance(value, str) or not value or _BAD_NAME_RE.search(value):
+        raise CatalogParseError(f"{field} must be a nonempty string without "
+                                "quotes, backslashes or control characters, "
+                                f"got {value!r}", lineno)
     return value
 
 
@@ -248,20 +255,20 @@ def _series_monic_unit(t: GeneralLaurent):
     if t.is_zero:
         return None
     if t.lead < 0:
-        return unit(1, 0, 0, t.coeffs[0])
+        return unit(1, 0, 0, t.coeff(t.lead))
     if t.lead == 0:
         c0 = t.coeff(0)
         rest = t.add_scalar(-c0)
         if rest.is_zero:
             return None
-        return unit(0, rest.coeffs[0], 1, -c0)
-    return unit(0, t.coeffs[0], 1, 0)
+        return unit(0, rest.coeff(rest.lead), 1, -c0)
+    return unit(0, t.coeff(t.lead), 1, 0)
 
 
 def _reindex(t: GeneralLaurent, s: int) -> QSeries:
     """t = j3(q^s) -> j3; requires monic lead -s and support in s*Z."""
-    prec = t.prec // s
-    return QSeries.from_coeffs([t.coeff(k * s) for k in range(prec + 1)])
+    body = Poly.make(t.body.nums[::s], t.body.den)
+    return QSeries(GeneralLaurent(-1, body, t.prec // s))
 
 
 def _verified_fully(src_series: QSeries, dst_series: QSeries,
@@ -288,17 +295,19 @@ class _Refiner:
                             "to": edge.dst, "r": edge.power, "reason": reason})
 
     def match_or_create(self, series: QSeries) -> str:
-        """Node identity by coefficient prefix; a prefix match that
-        diverges deeper is an inconsistency, not a new node."""
+        """Node identity by the coefficients of q^0..q^key, a node
+        certified through q^key; a match that diverges deeper is an
+        inconsistency, not a new node."""
         if series.prec < 0:
             raise VerificationFailureError(
                 "intermediate series has no certified coefficients")
+        key = min(15, series.prec)
         for node in self.nodes:
-            key_len = min(16, node.series.prec + 1, series.prec + 1)
-            if node.series.coeffs[:key_len] != series.coeffs[:key_len]:
+            if node.series.prec < key or \
+                    node.series.truncate(key) != series.truncate(key):
                 continue
             overlap = min(node.series.prec, series.prec)
-            if node.series.coeffs[:overlap + 1] == series.coeffs[:overlap + 1]:
+            if node.series.truncate(overlap) == series.truncate(overlap):
                 return node.name
             raise VerificationFailureError(
                 f"series agrees with node {node.name!r} on the identity "
@@ -466,7 +475,7 @@ def modular_polynomial(f1: RatFun, k1: int, f2: RatFun, k2: int) -> PolyOverPoly
 def eval_modular_polynomial(p: PolyOverPoly, xs: GeneralLaurent,
                             ys: GeneralLaurent) -> GeneralLaurent:
     """P(xs, ys) by Horner in the outer variable."""
-    acc = GeneralLaurent(0, (), EXACT)
+    acc = ZERO_SERIES
     for c in reversed(p.coeffs):
         acc = acc * xs + eval_poly_at_series(c, ys)
     return acc

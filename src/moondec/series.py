@@ -2,16 +2,22 @@
 
 Two kinds of value:
 
-* ``QSeries``: the catalog shape 1/q + sum_{k=0}^{prec} c_k q^k.  The
-  principal part is exactly 1/q (monic); ``coeffs[k]`` is the coefficient
-  of q^k and ``prec = len(coeffs) - 1``.
+* ``GeneralLaurent(lead, body, prec)``: ``body`` is a ``Poly`` whose
+  coefficient of x^i is the coefficient of q^(lead + i), and the series is
+  certified exact through q^prec -- every operation computes the exact
+  certified bound of its result, because the relation search trusts
+  precisely the coefficients inside that bound and nothing else.
+  ``prec == EXACT`` marks finitely supported series known exactly (scalars,
+  polynomial values).  In canonical form ``body`` is a canonical ``Poly``
+  with a nonzero lowest numerator and degree at most prec - lead, so equal
+  values have equal fields; a zero-to-prec series is (prec + 1, ZERO,
+  prec) and the exact zero is ``ZERO_SERIES``.  All arithmetic runs on the
+  body's integer numerators; ``coeff`` and ``coeffs`` are ``Fraction``
+  views.
 
-* ``GeneralLaurent``: intermediate values.  ``coeffs[i]`` holds the
-  coefficient of q^(lead + i) and the series is certified exact through
-  q^prec -- every operation computes the exact certified bound of its
-  result, because the relation search trusts precisely the coefficients
-  inside that bound and nothing else.  ``prec == EXACT`` marks finitely
-  supported series known exactly (scalars, polynomial values).
+* ``QSeries``: the catalog shape 1/q + sum_{k=0}^{prec} c_k q^k, a wrapper
+  of its monic lead -1 ``GeneralLaurent``.  ``coeffs[k]`` is the
+  coefficient of q^k and ``prec = len(coeffs) - 1``.
 
 Certified-precision rules: add/sub take the min; a product is certified
 through min(prec_a + lead_b, prec_b + lead_a); a quotient through
@@ -37,120 +43,104 @@ from moondec.errors import (
     VerificationFailureError,
     ZeroSeriesError,
 )
-from moondec.polynomials import clear_denominators, mul_fraction_seqs
+from moondec.polynomials import ONE, ZERO, Poly, mul_fraction_seqs
 from moondec.ratfun import RatFun
 
 EXACT = 10 ** 9  # precision sentinel: exactly known, finitely supported
 
 
-def _mul_seqs(a, b, trunc=0):
-    """Convolve two sequences of Fractions through the product kernel."""
-    if not a or not b:
-        return []
-    ints, d = mul_fraction_seqs(clear_denominators(a), clear_denominators(b),
-                                trunc)
-    return [Fraction(c, d) for c in ints]
+def _series(lead: int, nums, den: int, prec: int) -> GeneralLaurent:
+    """The canonical series sum nums[i]/den q^(lead + i) + O(q^(prec + 1)):
+    cut at prec, low zeros stripped."""
+    if prec != EXACT:
+        nums = nums[:max(prec - lead + 1, 0)]
+    low = 0
+    while low < len(nums) and nums[low] == 0:
+        low += 1
+    if low == len(nums):
+        return ZERO_SERIES if prec == EXACT else GeneralLaurent(
+            prec + 1, ZERO, prec)
+    return GeneralLaurent(lead + low, Poly.make(nums[low:], den), prec)
 
 
 @dataclass(frozen=True)
 class GeneralLaurent:
     lead: int
-    coeffs: tuple[Fraction, ...]
+    body: Poly
     prec: int
 
     @staticmethod
     def make(lead: int, coeffs, prec: int) -> GeneralLaurent:
-        """Normalize: strip leading certified zeros; zero-to-prec has empty
-        coefficients and lead = prec + 1.  For finite precision the stored
-        range must cover lead..prec exactly."""
-        cs = [Fraction(c) for c in coeffs]
-        if prec != EXACT and len(cs) != prec - lead + 1:
+        """The canonical series with ``coeffs[i]`` (ints or Fractions) at
+        q^(lead + i); for finite precision they must span lead..prec."""
+        coeffs = list(coeffs)
+        if prec != EXACT and len(coeffs) != prec - lead + 1:
             raise ValueError("coefficient list must span lead..prec")
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lead += 1
-        if prec == EXACT:
-            while cs and cs[-1] == 0:
-                cs.pop()
-            if not cs:
-                lead = 0
-        elif not cs:
-            lead = prec + 1
-        return GeneralLaurent(lead, tuple(cs), prec)
+        body = Poly.from_coeffs(coeffs)
+        return _series(lead, body.nums, body.den, prec)
 
     @staticmethod
     def exact_scalar(value) -> GeneralLaurent:
-        value = Fraction(value)
-        if value == 0:
-            return GeneralLaurent(0, (), EXACT)
-        return GeneralLaurent(0, (value,), EXACT)
+        return GeneralLaurent(0, Poly.constant(value), EXACT)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of q^lead, q^(lead + 1), ... as Fractions,
+        through q^prec for finite precision."""
+        cs = self.body.coeffs
+        if self.prec == EXACT:
+            return cs
+        return cs + (Fraction(0),) * (self.prec - self.lead + 1 - len(cs))
 
     @property
     def is_zero(self) -> bool:
         """Identically zero through the certified precision."""
-        return not self.coeffs
+        return not self.body.nums
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.prec == EXACT
+        return self == ZERO_SERIES
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of q^k; k must lie inside the certified range."""
         if self.prec != EXACT and k > self.prec:
             raise ValueError(f"coefficient q^{k} beyond certified q^{self.prec}")
-        i = k - self.lead
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.body.coeff(k - self.lead)
 
     def truncate(self, prec: int) -> GeneralLaurent:
         if self.prec != EXACT and prec > self.prec:
             raise ValueError("cannot extend certified precision")
-        cs = [self.coeff(k) for k in range(min(self.lead, prec + 1), prec + 1)]
-        return GeneralLaurent.make(min(self.lead, prec + 1), cs, prec)
+        return _series(self.lead, self.body.nums, self.body.den, prec)
 
     def scale(self, k) -> GeneralLaurent:
-        k = Fraction(k)
         if k == 0:
-            return GeneralLaurent(0, (), EXACT)
-        return GeneralLaurent(self.lead, tuple(c * k for c in self.coeffs),
-                              self.prec)
+            return ZERO_SERIES
+        return GeneralLaurent(self.lead, self.body.scale(k), self.prec)
 
     def add_scalar(self, value) -> GeneralLaurent:
         """Add an exact constant (affects only the q^0 coefficient)."""
-        value = Fraction(value)
-        if value == 0:
-            return self
-        if self.prec != EXACT and self.prec < 0:
-            return self  # exponent 0 lies beyond the certified range
-        lo = min(self.lead, 0)
-        hi = self.prec if self.prec != EXACT else max(
-            0, self.lead + len(self.coeffs) - 1)
-        cs = [self.coeff(k) + (value if k == 0 else 0)
-              for k in range(lo, hi + 1)]
-        return GeneralLaurent.make(lo, cs, self.prec)
+        return self + GeneralLaurent.exact_scalar(value)
+
+    def _shifted(self, lo: int) -> Poly:
+        """The body as coefficients from q^lo, lo <= lead."""
+        if not self.body.nums:
+            return ZERO
+        return Poly((0,) * (self.lead - lo) + self.body.nums, self.body.den)
 
     def __add__(self, other: GeneralLaurent) -> GeneralLaurent:
-        prec = min(self.prec, other.prec)
-        if prec == EXACT:
-            hi = max(self.lead + len(self.coeffs),
-                     other.lead + len(other.coeffs)) - 1
-        else:
-            hi = prec
-        lo = min(self.lead, other.lead, hi + 1)
-        cs = [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
-        return GeneralLaurent.make(lo, cs, prec)
+        lo = min(self.lead, other.lead)
+        total = self._shifted(lo) + other._shifted(lo)
+        return _series(lo, total.nums, total.den, min(self.prec, other.prec))
 
     def __neg__(self) -> GeneralLaurent:
-        return GeneralLaurent(self.lead, tuple(-c for c in self.coeffs),
-                              self.prec)
+        return GeneralLaurent(self.lead, -self.body, self.prec)
 
     def __sub__(self, other: GeneralLaurent) -> GeneralLaurent:
         return self + (-other)
 
     def __mul__(self, other: GeneralLaurent) -> GeneralLaurent:
         if self.is_exact_zero or other.is_exact_zero:
-            return GeneralLaurent(0, (), EXACT)
+            return ZERO_SERIES
         # a zero-to-prec series stores lead = prec + 1: it acts as O(q^lead)
         la, lb = self.lead, other.lead
         if self.prec == EXACT and other.prec == EXACT:
@@ -163,23 +153,20 @@ class GeneralLaurent:
             prec = min(self.prec + lb, other.prec + la)
         lead = la + lb
         if self.is_zero or other.is_zero:
-            if prec == EXACT:
-                return GeneralLaurent(0, (), EXACT)
-            return GeneralLaurent.make(prec + 1, [], prec)
+            return GeneralLaurent(prec + 1, ZERO, prec)
         if prec != EXACT and prec < lead:
             raise EmptyPrecisionError(
                 "product has no certified coefficients left")
-        length = 0 if prec == EXACT else prec - lead + 1
-        cs = _mul_seqs(self.coeffs, other.coeffs, length)
-        if prec != EXACT and len(cs) < length:
-            cs.extend([Fraction(0)] * (length - len(cs)))
-        return GeneralLaurent.make(lead, cs, prec)
+        a, b = self.body, other.body
+        nums, den = mul_fraction_seqs((a.nums, a.den), (b.nums, b.den),
+                                      0 if prec == EXACT else prec - lead + 1)
+        return _series(lead, nums, den, prec)
 
     def __truediv__(self, other: GeneralLaurent) -> GeneralLaurent:
         if other.is_zero:
             raise SeriesZeroDivisionError("division by a zero series")
         if self.is_exact_zero:
-            return GeneralLaurent(0, (), EXACT)
+            return ZERO_SERIES
         la, lb = self.lead, other.lead
         if self.prec == EXACT and other.prec == EXACT:
             raise ValueError(
@@ -192,98 +179,89 @@ class GeneralLaurent:
             prec = min(self.prec - lb, other.prec - 2 * lb + la)
         lead = la - lb
         if self.is_zero:
-            return GeneralLaurent.make(prec + 1, [], prec)
+            return GeneralLaurent(prec + 1, ZERO, prec)
         if prec < lead:
             raise EmptyPrecisionError(
                 "quotient has no certified coefficients left")
         # b*inv = 1 + q^k*err, so inv - q^k*inv*err inverts b to q^(2k-1)
         length = prec - lead + 1
-        bv = list(other.coeffs[:length])
-        bv += [Fraction(0)] * (length - len(bv))
-        inv = [1 / bv[0]]
-        while len(inv) < length:
-            k = len(inv)
+        b = (other.body.nums[:length], other.body.den)
+        inv = Poly.make((other.body.den,), other.body.nums[0])
+        k = 1
+        while k < length:
             n = min(2 * k, length)
-            err = _mul_seqs(bv[:n], inv, n)[k:]
-            inv += [-c for c in _mul_seqs(err, inv, n - k)]
-        quot = _mul_seqs(self.coeffs[:length], inv, length)
-        return GeneralLaurent.make(lead, quot, prec)
+            err, d = mul_fraction_seqs(b, (inv.nums, inv.den), n)
+            corr, d = mul_fraction_seqs((err[k:], d), (inv.nums, inv.den),
+                                        n - k)
+            inv = inv - Poly.make([0] * k + corr, d)
+            k = n
+        a = self.body
+        nums, den = mul_fraction_seqs((a.nums[:length], a.den),
+                                      (inv.nums, inv.den), length)
+        return _series(lead, nums, den, prec)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return f"O(q^{self.prec + 1})" if self.prec != EXACT else "0"
-        terms = " + ".join(f"{c}*q^{self.lead + i}"
-                           for i, c in enumerate(self.coeffs) if c)
-        tail = "" if self.prec == EXACT else f" + O(q^{self.prec + 1})"
-        return terms + tail
+
+ZERO_SERIES = GeneralLaurent(0, ZERO, EXACT)
 
 
 @dataclass(frozen=True)
 class QSeries:
-    """1/q + sum c_k q^k, coefficients certified through q^prec."""
+    """1/q + sum c_k q^k, coefficients certified through q^prec; ``laurent``
+    is that series, monic with lead -1."""
 
-    coeffs: tuple[Fraction, ...]
+    laurent: GeneralLaurent
 
     @staticmethod
     def from_coeffs(values) -> QSeries:
-        return QSeries(tuple(Fraction(v) for v in values))
+        """The series 1/q + sum values[k] q^k for ints/Fractions values."""
+        values = list(values)
+        return QSeries(GeneralLaurent.make(-1, [1] + values, len(values) - 1))
 
     @property
     def prec(self) -> int:
-        return len(self.coeffs) - 1
+        return self.laurent.prec
 
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of q^k for k >= -1."""
-        if k == -1:
-            return Fraction(1)
-        if 0 <= k <= self.prec:
-            return self.coeffs[k]
-        raise ValueError(f"coefficient q^{k} beyond certified q^{self.prec}")
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c_0, ..., c_prec as Fractions."""
+        return self.laurent.coeffs[1:]
 
     def to_laurent(self) -> GeneralLaurent:
-        return GeneralLaurent.make(-1, (Fraction(1),) + self.coeffs, self.prec)
+        return self.laurent
 
     @staticmethod
     def from_laurent(t: GeneralLaurent) -> QSeries:
         if t.prec == EXACT:
             # exact series are finitely supported; adopt the stored range
-            t = t.truncate(max(t.lead + len(t.coeffs) - 1, -1))
-        if t.lead != -1 or t.coeff(-1) != 1:
+            t = t.truncate(max(t.lead + len(t.body.nums) - 1, -1))
+        if t.lead != -1 or t.body.coeff(0) != 1:
             raise NonMonicPrincipalPartError(
                 f"series does not start with 1/q (lead {t.lead}, "
-                f"coefficient {t.coeff(t.lead) if not t.is_zero else 0})")
-        return QSeries(tuple(t.coeff(k) for k in range(0, t.prec + 1)))
+                f"coefficient {t.body.coeff(0)})")
+        return QSeries(t)
 
     def truncate(self, prec: int) -> QSeries:
         if prec > self.prec:
             raise ValueError("cannot extend certified precision")
-        return QSeries(self.coeffs[:prec + 1])
-
-    def __str__(self) -> str:
-        return str(self.to_laurent())
+        return QSeries(self.laurent.truncate(prec))
 
 
 def substitute_power(s: QSeries, r: int) -> GeneralLaurent:
     """q -> q^r, exactly: 1/q^r + sum c_k q^(r*k), certified through r*prec."""
     if r < 1:
         raise ValueError("power must be a positive integer")
-    prec = r * s.prec
-    length = prec + r + 1
-    cs = [Fraction(0)] * length
-    cs[0] = Fraction(1)
-    for k, c in enumerate(s.coeffs):
-        i = r * k + r
-        if i < length:
-            cs[i] = c
-    return GeneralLaurent.make(-r, cs, prec)
+    body = s.laurent.body
+    nums = [0] * (r * len(body.nums) - r + 1)
+    nums[::r] = body.nums
+    return GeneralLaurent(-r, Poly(tuple(nums), body.den), r * s.prec)
 
 
-def eval_poly_at_series(p, t: GeneralLaurent) -> GeneralLaurent:
+def eval_poly_at_series(p: Poly, t: GeneralLaurent) -> GeneralLaurent:
     """Horner evaluation of a Poly at a series."""
-    acc = GeneralLaurent(0, (), EXACT)
-    for c in reversed(p.coeffs):
-        acc = (acc * t).add_scalar(c) if not acc.is_exact_zero \
-            else GeneralLaurent.exact_scalar(c)
+    acc = ZERO_SERIES
+    for n in reversed(p.nums):
+        term = GeneralLaurent(0, Poly.make((n,), p.den), EXACT)
+        acc = term if acc.is_exact_zero else acc * t + term
     return acc
 
 
@@ -321,20 +299,20 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
             f"leading coefficient must be {lc} with a monic 1/q ansatz")
     kmax = target.prec + d - 1
     dnum, dden = f.num.derivative(), f.den.derivative()
-    known: list[Fraction] = []  # c_0, c_1, ... of the solution
-    while len(known) <= kmax:
-        k = len(known)
+    body = ONE  # of s_k = 1/q + c_0 + ... + c_(k-1) q^(k-1), from q^-1
+    k = 0
+    while k <= kmax:
         n = min(2 * k + 1, kmax + 1)
         # s_k is exact; precision q^(n-1) only cuts what this step needs
-        guess = GeneralLaurent.make(
-            -1, [Fraction(1)] + known + [Fraction(0)] * (n - k), n - 1)
+        guess = GeneralLaurent(-1, body, n - 1)
         value = (eval_poly_at_series(f.num, guess)
                  - target * eval_poly_at_series(f.den, guess))
         slope = (eval_poly_at_series(dnum, guess)
                  - target * eval_poly_at_series(dden, guess))
-        step = value / slope
-        known += [-step.coeff(j) for j in range(k, n)]
-    result = QSeries(tuple(known))
+        # the step vanishes below q^k, where s_k is already exact
+        body = (guess - value / slope).truncate(n - 1).body
+        k = n
+    result = QSeries(GeneralLaurent(-1, body, kmax))
     if not (eval_ratfun_at_series(f, result) - target).is_zero:
         raise VerificationFailureError("forward check failed")
     return result
@@ -345,7 +323,7 @@ def power_support(s: GeneralLaurent) -> int:
     if s.is_zero:
         raise ZeroSeriesError("zero series has no power support")
     g = abs(s.lead)
-    for i, c in enumerate(s.coeffs):
+    for i, c in enumerate(s.body.nums):
         if c:
             g = gcd(g, s.lead + i)
         if g == 1:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from moondec.bivariate import PolyOverPoly, bivariate_text
+from moondec.cli import main
 from moondec.errors import (
     CatalogParseError,
     DuplicateNameError,
@@ -375,6 +376,27 @@ def test_refine_rejects_inconsistent_edge():
         refine_graph(graph)
 
 
+
+def test_refine_skips_nodes_not_certified_through_the_identity_key(
+        tmp_path, planted_four_catalog):
+    """A node with no certified coefficients shares the empty prefix with
+    every series; it must not be matched against the intermediate series
+    of a split."""
+    catalog, funs = planted_four_catalog
+    nodes = tuple(GraphNode(c.name, c.series, "catalog") for c in catalog[:2])
+    graph = RelationGraph(
+        nodes, (GraphEdge("X", "B", 4, 2, compose(funs["chi"], PHI)),))
+    blob = export_graph(graph, "jsonlines").decode()
+    bare = '{"type":"node","name":"E","coeffs":[]}\n'
+    for doc in (blob, bare + blob):
+        src, out = tmp_path / "graph.jsonl", tmp_path / "refined.jsonl"
+        src.write_text(doc)
+        assert main(["graph-refine", "--in", str(src), "--out", str(out)]) == 0
+        refined = load_graph(out.read_bytes())
+        assert [n.name for n in refined.nodes
+                if n.origin == "synthetic"] == ["X1"]
+        assert all(e.degree == 2 for e in refined.edges)
+
 # -- chains ----------------------------------------------------------------------
 
 def test_load_graph_rejects_duplicate_or_mislabeled_edges(
@@ -410,6 +432,49 @@ def test_load_graph_rejects_duplicate_or_mislabeled_edges(
         load_graph(blob.encode() + b"\xff\n")
     assert err.value.line == line
 
+
+
+@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\nb", "a\tb", "a\x7fb",
+                                  "a\x85b", "a\u2028b"])
+def test_names_that_break_dot_or_line_output_are_parse_errors(
+        capsys, tmp_path, name):
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(_record("ok", "1", [1]) + "\n"
+                       + _record(name, "1", [2]) + "\n")
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('{"type":"node","name":"ok","coeffs":[]}\n'
+                     + json.dumps({"type": "node", "name": name,
+                                   "coeffs": []}) + "\n")
+    for argv in (["graph-build", "--catalog", str(catalog),
+                  "--out", str(tmp_path / "out.jsonl")],
+                 ["export", "--in", str(graph), "--format", "dot"],
+                 ["chains", "--in", str(graph), "--from", "ok", "--to", "ok"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: parse-error: line 2:")
+    edge = {"type": "edge", "from": "ok", "to": name, "d": 1, "r": 1,
+            "f": "x"}
+    with pytest.raises(CatalogParseError) as err:
+        load_graph(graph.read_text().splitlines()[0] + "\n"
+                   + json.dumps(edge) + "\n")
+    assert err.value.line == 2
+
+
+def test_names_with_spaces_parentheses_and_letters_load_and_export(
+        capsys, tmp_path):
+    names = ["T 2B (q)", "Γ0(13)+", "ñ"]
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text("".join(_record(n, "1", [i]) + "\n"
+                               for i, n in enumerate(names)))
+    assert [c.name for c in load_catalog(catalog.read_bytes())] == names
+    graph = tmp_path / "graph.jsonl"
+    assert main(["graph-build", "--catalog", str(catalog),
+                 "--out", str(graph)]) == 0
+    assert main(["export", "--in", str(graph), "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert all(f'  "{n}";' in dot for n in names)
+    assert [n.name for n in load_graph(graph.read_bytes()).nodes] == names
 
 def test_chains_trivial_cases():
     node = GraphNode("a", QSeries.from_coeffs([1]), "catalog")

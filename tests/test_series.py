@@ -17,6 +17,7 @@ from moondec.polynomials import Poly
 from moondec.ratfun import RatFun
 from moondec.series import (
     EXACT,
+    ZERO_SERIES,
     GeneralLaurent,
     QSeries,
     eval_poly_at_series,
@@ -25,7 +26,13 @@ from moondec.series import (
     power_support,
     substitute_power,
 )
-from oracles import j_expansion, naive_inner_solve, naive_series_div
+from oracles import (
+    j_expansion,
+    naive_add,
+    naive_inner_solve,
+    naive_mul,
+    naive_series_div,
+)
 
 
 def L(lead, coeffs, prec):
@@ -291,3 +298,168 @@ def _normal_ratfun(rng, deg):
         f = RatFun.make(num, den)
         if f.degree == deg and f.num.coeff(0) == 0:
             return f
+
+
+# -- the storage format against plain Fraction lists --------------------------
+
+def _assert_canonical(s):
+    """Canonical Poly body, nonzero lowest numerator, degree inside the
+    certified range; zero is (prec + 1, ZERO, prec) or ZERO_SERIES."""
+    body = s.body
+    assert body == Poly.make(body.nums, body.den)
+    if not body.nums:
+        assert s == ZERO_SERIES if s.prec == EXACT else s.lead == s.prec + 1
+    else:
+        assert body.nums[0] != 0
+        assert s.prec == EXACT or body.degree <= s.prec - s.lead
+
+
+def _plain_operand(rng, case):
+    """(lead, coefficients from q^lead, prec) as plain Fractions."""
+    lead = rng.randint(-3, 2)
+    bits = 90 if case % 3 == 0 else 5
+    top = 2 ** bits
+    cs = [Fraction(0) if rng.random() < 0.25 else
+          Fraction(rng.randint(-top, top), rng.randint(1, top))
+          for _ in range(rng.randint(0, 7))]
+    if case % 8 == 5:
+        cs = [Fraction(0)] * len(cs)  # zero to prec, or the exact zero
+    return lead, cs, EXACT if rng.random() < 0.35 else lead + len(cs) - 1
+
+
+def _terms(lo, cs, prec):
+    """Nonzero coefficients of sum cs[i] q^(lo + i), cut at prec."""
+    return {lo + i: c for i, c in enumerate(cs)
+            if c and (prec == EXACT or lo + i <= prec)}
+
+
+def _canonical_lead(lead, cs, prec):
+    """(lead of the first nonzero coefficient, stripped coefficients); a
+    zero series leads at prec + 1, the exact zero at 0."""
+    terms = _terms(lead, cs, prec)
+    if not terms:
+        return (0 if prec == EXACT else prec + 1), []
+    low = min(terms)
+    return low, cs[low - lead:]
+
+
+def _check(result, prec, terms):
+    _assert_canonical(result)
+    assert result.prec == prec
+    got = {result.lead + i: c for i, c in enumerate(result.body.coeffs) if c}
+    assert got == terms
+
+
+def _oracle_sum(a, b, prec):
+    (la, ca, _), (lb, cb, _) = a, b
+    lo = min(la, lb)
+    total = naive_add([0] * (la - lo) + ca, [0] * (lb - lo) + cb)
+    return _terms(lo, total, prec)
+
+
+def _product_prec(a, b, la, lb):
+    if a[2] == EXACT and b[2] == EXACT:
+        return EXACT
+    if a[2] == EXACT:
+        return b[2] + la
+    if b[2] == EXACT:
+        return a[2] + lb
+    return min(a[2] + lb, b[2] + la)
+
+
+def _quotient_prec(a, b, la, lb):
+    if a[2] == EXACT:
+        return b[2] - 2 * lb + la
+    if b[2] == EXACT:
+        return a[2] - lb
+    return min(a[2] - lb, b[2] - 2 * lb + la)
+
+
+def test_series_arithmetic_matches_plain_fraction_oracles():
+    rng = random.Random(59)
+    for case in range(40):
+        a = _plain_operand(rng, case)
+        b = _plain_operand(rng, case + 1)
+        if case % 5 == 1:  # a + b cancels through the certified range
+            b = (a[0], [-c for c in a[1]], rng.choice([a[2], EXACT]))
+        sa, sb = GeneralLaurent.make(*a), GeneralLaurent.make(*b)
+        _check(sa, a[2], _terms(*a))
+        neg_b = (b[0], [-c for c in b[1]], b[2])
+        prec = min(a[2], b[2])
+        _check(sa + sb, prec, _oracle_sum(a, b, prec))
+        _check(sa - sb, prec, _oracle_sum(a, neg_b, prec))
+        _check(-sb, b[2], _terms(*neg_b))
+
+        (la, ca), (lb, cb) = _canonical_lead(*a), _canonical_lead(*b)
+        if sa == ZERO_SERIES or sb == ZERO_SERIES:
+            assert sa * sb == ZERO_SERIES
+        else:
+            prec = _product_prec(a, b, la, lb)
+            if not ca or not cb:
+                _check(sa * sb, prec, {})
+            else:
+                _check(sa * sb, prec, _terms(la + lb, naive_mul(ca, cb), prec))
+
+        if not cb:
+            with pytest.raises(SeriesZeroDivisionError):
+                sa / sb
+        elif sa == ZERO_SERIES:
+            assert sa / sb == ZERO_SERIES
+        elif a[2] == EXACT and b[2] == EXACT:
+            with pytest.raises(ValueError):
+                sa / sb
+        else:
+            prec = _quotient_prec(a, b, la, lb)
+            if not ca:
+                _check(sa / sb, prec, {})
+            else:
+                quot = naive_series_div(ca, cb, prec - la + lb + 1)
+                _check(sa / sb, prec, _terms(la - lb, quot, prec))
+
+        k = rng.choice([0, 3, Fraction(-7, 2 ** 80 + 1)])
+        if k == 0:
+            assert sa.scale(k) == ZERO_SERIES
+        else:
+            scaled = _terms(a[0], [c * k for c in a[1]], a[2])
+            _check(sa.scale(k), a[2], scaled)
+        value = rng.choice([0, 5, Fraction(2 ** 89, 3)])
+        _check(sa.add_scalar(value), a[2],
+               _oracle_sum(a, (0, [value], EXACT), a[2]))
+        top = a[0] + len(a[1]) + 1 if a[2] == EXACT else a[2]
+        cut = rng.randint(a[0] - 2, top)
+        _check(sa.truncate(cut), cut, _terms(a[0], a[1], cut))
+
+
+def test_substitute_power_matches_spread_coefficients():
+    rng = random.Random(60)
+    for case in range(40):
+        cs = _plain_operand(rng, case)[1]
+        r = rng.randint(1, 4)
+        spread = [Fraction(0)] * (r * len(cs) + 1)
+        spread[0] = Fraction(1)
+        spread[r::r] = cs
+        out = substitute_power(QSeries.from_coeffs(cs), r)
+        _check(out, r * (len(cs) - 1), _terms(-r, spread, r * (len(cs) - 1)))
+
+
+def test_equal_values_from_different_spellings_are_equal():
+    rng = random.Random(61)
+    for case in range(40):
+        lead, cs, prec = _plain_operand(rng, case)
+        s = GeneralLaurent.make(lead, cs, prec)
+        spellings = [
+            GeneralLaurent.make(lead - 2, [0, 0] + cs, prec),
+            s.scale(Fraction(3, 2 ** 70)).scale(Fraction(2 ** 70, 3)),
+            (s + s).scale(Fraction(1, 2)),
+            s * GeneralLaurent.exact_scalar(1),
+            s.add_scalar(Fraction(1, 7)).add_scalar(Fraction(-1, 7)),
+        ]
+        if prec == EXACT:
+            spellings.append(GeneralLaurent.make(lead, cs + [0, 0], EXACT))
+        for other in spellings:
+            _assert_canonical(other)
+            assert other == s and hash(other) == hash(s)
+        q = QSeries.from_coeffs(cs)
+        assert QSeries.from_laurent(q.to_laurent()) == q
+        assert QSeries.from_laurent(q.to_laurent()).coeffs == tuple(cs)
+        assert hash(QSeries.from_coeffs(list(cs))) == hash(q)
