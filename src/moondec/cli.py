@@ -165,7 +165,7 @@ def _candidate_degrees(args, src, dst):
     if e is not None:
         return [e], True
     if args.emax is not None:
-        return list(range(1, args.emax + 1)), False
+        return range(1, args.emax + 1), False
     print("note: area quotient is not a natural number and no --e/--emax "
           "given", file=sys.stderr)
     return [], False

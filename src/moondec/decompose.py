@@ -172,9 +172,8 @@ def unit_linking(h1: RatFun, h2: RatFun):
         return None
     cols = [h1.num * h2.den, h1.den * h2.den,
             -(h1.num * h2.num), -(h1.den * h2.num)]
-    top = max((c.degree for c in cols if not c.is_zero), default=0)
-    basis = linalg.nullspace(
-        [[c.coeff(k) for c in cols] for k in range(top + 1)], 4)
+    count = max(len(c.nums) for c in cols)
+    basis = linalg.nullspace(linalg.integer_rows(cols, count), 4)
     if not basis:
         return None
     a, b, c, d = basis[0]

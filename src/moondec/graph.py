@@ -435,21 +435,21 @@ def maximal_chains(graph: RelationGraph, src: str, dst: str):
     for e in sorted(graph.edges, key=_edge_sort_key):
         if not _one_level_splits(e.fun, memo):
             adjacency.setdefault(e.src, []).append(e)
-    paths = []
-
-    def dfs(at, visited, trail):
-        if at == dst:
-            paths.append(list(trail))
-            return
-        for e in adjacency.get(at, ()):
-            if e.dst not in visited or e.dst == dst:
-                visited.add(e.dst)
-                trail.append(e)
-                dfs(e.dst, visited, trail)
-                trail.pop()
-                visited.discard(e.dst)
-
-    dfs(src, {src}, [])
+    paths, trail, visited = [], [], {src}
+    # depth first on an explicit stack: no recursion limit on long paths
+    stack = [iter(adjacency.get(src, ()))]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if trail:
+                visited.discard(trail.pop().dst)
+        elif e.dst == dst:
+            paths.append(trail + [e])
+        elif e.dst not in visited:
+            visited.add(e.dst)
+            trail.append(e)
+            stack.append(iter(adjacency.get(e.dst, ())))
     paths.sort(key=lambda p: (-len(p),
                               tuple((e.src, e.dst, e.power) for e in p)))
     return paths

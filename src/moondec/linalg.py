@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Rows of rational entries are scaled to integers (row scaling does not change
-the solution set), eliminated fraction-free by the kernel, and only the
-final back-substitution runs in ``Fraction`` arithmetic.
+Rows arrive as integers, read off ``Poly`` columns by ``integer_rows`` under
+one common multiple of the column denominators (scaling every row by the
+same positive number keeps the solution set); the kernel eliminates them
+fraction-free, and only the final back-substitution runs in ``Fraction``.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from moondec import _kernels
 from moondec.errors import UnderdeterminedSystemError
-from moondec.polynomials import clear_denominators
+
+
+def integer_rows(columns, count):
+    """Rows 0..count-1 of the matrix whose column j holds the coefficients
+    of the ``Poly`` ``columns[j]``, times the lcm of their denominators."""
+    mult = lcm(*(c.den for c in columns))
+    cols = [[n * (mult // c.den) for n in c.nums[:count]]
+            + [0] * (count - len(c.nums)) for c in columns]
+    return list(zip(*cols))
 
 
 def _null_vector(echelon, pivots, free_col, ncols):
@@ -29,7 +39,7 @@ def _null_vector(echelon, pivots, free_col, ncols):
 
 
 def solve_unique(aug_rows, nvars):
-    """Solve an augmented system ``[A | b]`` with ``nvars`` unknowns.
+    """Solve an augmented integer system ``[A | b]`` with ``nvars`` unknowns.
 
     Returns the unique solution as a list of Fractions, or None when the
     system is inconsistent.  A consistent system of rank < nvars raises
@@ -49,13 +59,12 @@ def solve_unique(aug_rows, nvars):
 
 
 def nullspace(rows, nvars):
-    """Basis of the null space of a homogeneous system, as Fraction vectors.
+    """Null space basis of a homogeneous integer system, as Fraction vectors.
 
     One basis vector per free column, each with a 1 in its free coordinate;
     deterministic order (free columns ascending).
     """
-    echelon, pivots = _kernels.row_echelon(
-        [clear_denominators(row)[0] for row in rows])
+    echelon, pivots = _kernels.row_echelon(rows)
     pivot_set = set(pivots)
     return [_null_vector(echelon, pivots, free_col, nvars)
             for free_col in range(nvars) if free_col not in pivot_set]

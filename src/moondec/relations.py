@@ -36,8 +36,8 @@ from moondec.series import (
 
 @dataclass(frozen=True)
 class LinearSystem:
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Relation:
 
 
 def solve_linear(system: LinearSystem):
-    """Exact Gaussian elimination; unique solution, None, or an error.
+    """Integer-row Gaussian elimination; unique solution, None, or an error.
 
     None means inconsistent; a consistent but rank-deficient system raises
     UnderdeterminedSystemError (it signals insufficient series precision,
@@ -57,6 +57,8 @@ def solve_linear(system: LinearSystem):
     """
     nvars = len(system.matrix[0]) if system.matrix else 0
     aug = [list(row) + [rhs] for row, rhs in zip(system.matrix, system.rhs)]
+    if any(v.denominator != 1 for row in aug for v in row):
+        raise InvalidInputError("linear system entries must be integers")
     return linalg.solve_unique(aug, nvars)
 
 
@@ -80,7 +82,8 @@ def _series_powers(s: QSeries, top: int) -> list[GeneralLaurent]:
 
 def _build_system(s1: QSeries, s2: QSeries, e: int, r: int,
                   powers: list[GeneralLaurent]) -> LinearSystem:
-    """Equations for one r: columns a_0..a_{e-1}, b_0..b_{e-r-1}."""
+    """Equations for one r: columns a_0..a_{e-1}, b_0..b_{e-r-1}; row k
+    is the coefficient of q^(k-e), read off the integer series bodies."""
     sub = substitute_power(s1, r)
     sp = [sub * powers[j] for j in range(e - r + 1)]
     const = sp[e - r] - powers[e]
@@ -94,14 +97,11 @@ def _build_system(s1: QSeries, s2: QSeries, e: int, r: int,
     if count < unknowns + 2:
         raise InsufficientPrecisionError(
             f"only {count} certified equations for {unknowns} unknowns at r={r}")
-    rows = []
-    rhs = []
-    for k in range(-e, bound + 1):
-        row = [powers[i].coeff(k) for i in range(e)]
-        row.extend(-sp[j].coeff(k) for j in range(e - r))
-        rows.append(tuple(row))
-        rhs.append(const.coeff(k))
-    return LinearSystem(tuple(rows), tuple(rhs))
+    cols = [p._shifted(-e) for p in powers[:e]]
+    cols += [-s._shifted(-e) for s in sp[:e - r]] + [const._shifted(-e)]
+    rows = linalg.integer_rows(cols, count)
+    return LinearSystem(tuple(row[:-1] for row in rows),
+                        tuple(row[-1] for row in rows))
 
 
 def _assemble(e: int, r: int, sol: list[Fraction]):

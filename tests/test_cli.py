@@ -146,6 +146,16 @@ def test_relate_determinism(capsys, moonshine_catalog_path):
     assert first == second
 
 
+def test_relate_emax_scan_is_lazy(capsys, moonshine_catalog_path):
+    # the area quotient 9B -> 1A is not natural, so --emax bounds a scan
+    # that stops at the first degree the series cannot certify
+    args = ("relate", "--catalog", str(moonshine_catalog_path),
+            "--from", "9B", "--to", "1A", "--emax")
+    expected = run_cli(capsys, *args, "30")
+    assert expected[:2] == (3, "none\n")
+    assert run_cli(capsys, *args, str(10 ** 12)) == expected
+
+
 @pytest.fixture()
 def replicable_catalog(tmp_path):
     base = self_replicable(4, 2, 24)
@@ -222,6 +232,22 @@ def test_chains_same_node(capsys, tmp_path, moonshine_catalog_path):
                            "--from", "1A", "--to", "1A")
     assert code == 0
     assert out == "(empty path)\n"
+
+
+def test_chains_on_a_long_path_graph(capsys, tmp_path):
+    n = 1500
+    graph_path = tmp_path / "path.jsonl"
+    graph_path.write_text("".join(
+        [json.dumps({"type": "node", "name": f"A{i}", "coeffs": []}) + "\n"
+         for i in range(n)]
+        + [json.dumps({"type": "edge", "from": f"A{i}", "to": f"A{i + 1}",
+                       "d": 1, "r": 1, "f": "x"}) + "\n"
+           for i in range(n - 1)]))
+    code, out, err = run_cli(capsys, "chains", "--in", str(graph_path),
+                             "--from", "A0", "--to", f"A{n - 1}")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1
+    assert out.count("->") == n - 1
 
 
 def test_console_entry_point():

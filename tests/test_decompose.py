@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import outer_by_nullspace
@@ -315,3 +316,23 @@ def _random_component(rng):
             continue
         if f.degree == deg:
             return f
+
+
+def test_unit_linking_recovers_fractional_units_over_fractional_inners():
+    rng = random.Random(43)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(30):
+        deg = rng.randint(2, 4)
+        h = RatFun.make(Poly.from_coeffs([frac() for _ in range(deg)] + [1]),
+                        Poly.from_coeffs([frac() for _ in range(deg)]))
+        if h.degree < 2:
+            continue
+        while True:
+            a, b, c, d = (frac() for _ in range(4))
+            if a * d - b * c != 0:
+                break
+        w = unit(a, b, c, d)
+        assert unit_linking(h, compose(w, h)) == w

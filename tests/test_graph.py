@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -475,6 +476,35 @@ def test_names_with_spaces_parentheses_and_letters_load_and_export(
     dot = capsys.readouterr().out
     assert all(f'  "{n}";' in dot for n in names)
     assert [n.name for n in load_graph(graph.read_bytes()).nodes] == names
+
+def test_chains_match_brute_force_on_graphs_with_cycles_and_shared_nodes():
+    rng = random.Random(91)
+    identity = parse_ratfun("x")
+    for _ in range(40):
+        names = [f"n{i}" for i in range(rng.randint(2, 6))]
+        nodes = tuple(GraphNode(n, QSeries.from_coeffs([i]), "catalog")
+                      for i, n in enumerate(names))
+        edges = sorted({(a, b, rng.randint(1, 2))
+                        for _ in range(rng.randint(1, 14))
+                        for a, b in [rng.sample(names, 2)]})
+        graph = RelationGraph(
+            nodes, tuple(GraphEdge(a, b, 1, k, identity) for a, b, k in edges))
+        src, dst = names[0], names[-1]
+        expected = []
+        inner = names[1:-1]
+        for size in range(len(inner) + 1):
+            for mids in itertools.permutations(inner, size):
+                hops = list(zip((src,) + mids, mids + (dst,)))
+                choices = [[k for a, b, k in edges if (a, b) == hop]
+                           for hop in hops]
+                for powers in itertools.product(*choices):
+                    expected.append([(a, b, k) for (a, b), k
+                                     in zip(hops, powers)])
+        expected.sort(key=lambda p: (-len(p), p))
+        got = [[(e.src, e.dst, e.power) for e in path]
+               for path in maximal_chains(graph, src, dst)]
+        assert got == expected
+
 
 def test_chains_trivial_cases():
     node = GraphNode("a", QSeries.from_coeffs([1]), "catalog")

@@ -76,7 +76,9 @@ def test_solver_matches_reference_on_random_systems():
                  for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(-6, 6)) for _ in range(m)]
         expect = _fraction_gauss_solve(rows, rhs)
-        aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+        # the solver takes integer rows; scaling a row keeps its solutions
+        aug = [clear_denominators(list(r) + [v])[0]
+               for r, v in zip(rows, rhs)]
         if expect == "inconsistent":
             assert linalg.solve_unique(aug, n) is None
         elif expect == "underdetermined":

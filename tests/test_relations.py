@@ -5,6 +5,7 @@ import pytest
 
 from moondec.errors import (
     InsufficientPrecisionError,
+    InvalidInputError,
     NonPositiveAreaError,
     UnderdeterminedSystemError,
 )
@@ -20,8 +21,13 @@ from moondec.relations import (
     solve_linear,
     verify_relation,
 )
-from moondec.series import QSeries, eval_ratfun_at_series, substitute_power
-from planting import plant
+from moondec.series import (
+    QSeries,
+    eval_ratfun_at_series,
+    inner_series_solve,
+    substitute_power,
+)
+from planting import plant, random_monic_pair
 
 
 def F(v):
@@ -44,6 +50,15 @@ def test_solve_linear_inconsistent():
 def test_solve_linear_underdetermined():
     with pytest.raises(UnderdeterminedSystemError):
         solve_linear(_system([[1, 1], [2, 2]], [1, 2]))
+
+
+def test_solve_linear_rejects_non_integer_entries():
+    # the elimination is fraction-free: rows must be scaled to integers
+    with pytest.raises(InvalidInputError):
+        solve_linear(LinearSystem(((F(1), Fraction(1, 2)), (F(1), F(-1))),
+                                  (F(3), F(0))))
+    with pytest.raises(InvalidInputError):
+        solve_linear(LinearSystem(((1, 1), (1, -1)), (Fraction(3, 2), 0)))
 
 
 def test_degree_from_areas():
@@ -152,3 +167,48 @@ def test_determinism():
     first = find_relation(s1, s2, 3)
     second = find_relation(s1, s2, 3)
     assert first == second
+
+
+def _coeff_rows(s1, s2, e, r, powers):
+    """The system read entry by entry through ``GeneralLaurent.coeff``:
+    augmented rows [a_0..a_{e-1}, b_0..b_{e-r-1} | rhs] of Fractions."""
+    sub = substitute_power(s1, r)
+    sp = [sub * powers[j] for j in range(e - r + 1)]
+    const = sp[e - r] - powers[e]
+    bound = min([const.prec] + [powers[i].prec for i in range(1, e)]
+                + [sp[j].prec for j in range(e - r)])
+    return [[powers[i].coeff(k) for i in range(e)]
+            + [-sp[j].coeff(k) for j in range(e - r)] + [const.coeff(k)]
+            for k in range(-e, bound + 1)]
+
+
+def test_integer_rows_are_one_positive_multiple_of_the_fraction_rows():
+    rng = random.Random(64)
+
+    def frac():
+        return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4, 6, 9]))
+
+    for e, r in [(2, 1), (3, 1), (4, 1), (3, 2), (4, 3), (5, 2), (3, 3)]:
+        f = random_monic_pair(rng, e, r)
+        prec = 2 * e + 1
+        if r == 1:
+            s2 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
+            s1 = QSeries.from_laurent(eval_ratfun_at_series(f, s2))
+        else:
+            s1 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
+            s2 = inner_series_solve(f, substitute_power(s1, r)).truncate(prec)
+        assert any(c.denominator > 1 for c in s2.coeffs)
+        powers = _series_powers(s2, e)
+        system = _build_system(s1, s2, e, r, powers)
+        oracle = _coeff_rows(s1, s2, e, r, powers)
+        rows = [list(row) + [rhs]
+                for row, rhs in zip(system.matrix, system.rhs)]
+        assert len(rows) == len(oracle)
+        assert all(type(v) is int for row in rows for v in row)
+        k, j = next((k, j) for k, row in enumerate(oracle)
+                    for j, v in enumerate(row) if v)
+        mult = rows[k][j] / oracle[k][j]
+        assert mult > 0
+        assert rows == [[mult * v for v in row] for row in oracle]
+        rel = find_relation(s1, s2, e)
+        assert (rel.r, rel.f) == (r, f)
