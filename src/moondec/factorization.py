@@ -9,9 +9,10 @@ bounds every coefficient of lc(f)/lc(u) * u for an integer factor u of f.
 Recombination is Zassenhaus subset search with the leading coefficient
 (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15): a subset's
 product times lc of the remaining cofactor, in the symmetric range mod p^l,
-is tried as a factor through its primitive part, and accepted only on exact
-integer division.  Everything is deterministic: prime choice, Berlekamp
-splitting order, subset enumeration and the final factor ordering.
+is tried as a factor through its primitive part, and accepted when it
+divides the remaining cofactor over Q (the quotient of a primitive divisor
+lies in Z[x] by Gauss's lemma).  Everything is deterministic: prime choice,
+Berlekamp splitting order, subset enumeration and the final factor ordering.
 
 Degrees in this problem domain reach the seventies, which is far beyond
 naive coefficient search but comfortable for Zassenhaus recombination (the
@@ -31,6 +32,7 @@ from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
     _int_primitive,
+    poly_divrem,
     squarefree_decomposition,
 )
 
@@ -228,22 +230,6 @@ def _symmetric(a, m):
     return [c - m if c > half else c for c in a]
 
 
-def _int_exact_quot(a, b):
-    """a / b for integer polynomials when b divides a in Z[x], else None."""
-    db = len(b) - 1
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c, r = divmod(rem[i], b[-1])
-        if r:
-            return None
-        if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b[j]
-    return None if any(rem[:db]) else quot
-
-
 def _recombine(f, lifted, target):
     """Zassenhaus subset search over the lifted monic modular factors of
     the primitive f; returns its primitive irreducible factors."""
@@ -262,11 +248,11 @@ def _recombine(f, lifted, target):
                 g = _int_primitive(_symmetric(g, target))
                 if g[0] and current[0] % g[0]:
                     continue  # constant term cannot divide: skip early
-                quot = _int_exact_quot(current, g)
-                if quot is None:
+                quot, rem = poly_divrem(Poly.make(current, 1), Poly.make(g, 1))
+                if not rem.is_zero:
                     continue
                 result.append(g)
-                current = quot
+                current = list(quot.nums)
                 rest = [i for i in rest if i not in combo]
                 retry = True
                 break

@@ -285,9 +285,10 @@ class _Refiner:
         self.by_name = {n.name: n for n in self.nodes}
         self.report: list[dict] = []
         self.synthetic: list[str] = []
+        # ids of at most 600 digits, which int() converts under any setting
         self.next_id = 1 + max(
             (int(n.name[1:]) for n in self.nodes
-             if n.origin == "synthetic" and re.match(r"^X\d+$", n.name)),
+             if n.origin == "synthetic" and re.match(r"^X\d{1,600}$", n.name)),
             default=0)
 
     def warn(self, edge: GraphEdge, reason: str):
@@ -312,6 +313,8 @@ class _Refiner:
             raise VerificationFailureError(
                 f"series agrees with node {node.name!r} on the identity "
                 "prefix but diverges inside the certified overlap")
+        while f"X{self.next_id}" in self.by_name:
+            self.next_id += 1
         name = f"X{self.next_id}"
         self.next_id += 1
         node = GraphNode(name, series, "synthetic")

@@ -5,6 +5,7 @@
     unary  := ('+' | '-')* power
     power  := atom ('^' INT)?          -- INT a positive integer literal
     atom   := INT | 'x' | '(' expr ')'
+    INT    := [0-9]+                   -- ASCII: isdigit() takes '²' and '٣'
 
 Whitespace is insignificant.  The canonical printer (ratfun_text) emits text
 this grammar accepts, so printing and parsing round-trip exactly.
@@ -49,7 +50,7 @@ class _Tokenizer:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise RatFunSyntaxError("expected an integer", start)
@@ -140,7 +141,7 @@ def _atom(tok: _Tokenizer) -> RatFun:
     if ch == "x":
         tok.take()
         return RatFun.identity()
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         return RatFun.constant(tok.take_int())
     raise RatFunSyntaxError(
         f"expected a number, 'x' or '(', got {ch!r}" if ch else

@@ -278,24 +278,6 @@ def _int_primitive(ints) -> list[int]:
     return [c // g for c in ints]
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of primitive integer polynomials, deg a >= deg b."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[db]
-    rem = list(a)
-    for i in range(da, db - 1, -1):
-        c = rem[i]
-        for j in range(i):
-            rem[j] *= lead
-        if c:
-            for j in range(db + 1):
-                rem[i - db + j] -= c * b[j]
-        rem[i] = 0
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
 # 2^61 - 1: images mod this prime certify coprimality (see poly_gcd)
 GCD_PRIME = (1 << 61) - 1
 
@@ -324,7 +306,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             [c % p for c in fa], [c % p for c in fb], p)) == 1:
         return ONE
     while fb:
-        fa, fb = fb, _int_primitive(_int_pseudo_rem(fa, fb))
+        # a rational multiple of the pseudo-remainder: same primitive part
+        rem = poly_divrem(Poly.make(fa, 1), Poly.make(fb, 1))[1]
+        fa, fb = fb, _int_primitive(list(rem.nums))
     return Poly.make(fa, fa[-1])
 
 

@@ -2,14 +2,17 @@
 
 The candidate f is a monic ansatz
 
-    f = (t^e + a_{e-1} t^{e-1} + ... + a_0) / (t^{e-r} + ... + b_0)
+    f = (t^e + a_{e-1} t^{e-1} + ... + a_0) / (t^{e-r} + ... + b_0),
 
-whose unknowns are pinned by requiring the numerator of
-s1(q^r) - f(s2(q)) to vanish coefficient by coefficient.  Every certified
-coefficient of that expression yields one linear equation; the system must
-be overdetermined (at least two more equations than unknowns) so that a
-solution on truncated data actually means something.  The r-loop returns
-the first success (lowest r).
+so the relation reads sum_j b_j s1(q^r) s2^j = num(s2), b_{e-r} = 1.  As
+s2 = 1/q + ... is monic, each product s1(q^r) s2^j is P_j(s2) + R_j with
+R_j = O(q), and a nonzero polynomial in s2 is not O(q): the relation holds
+iff num = sum_j b_j P_j and sum_j b_j R_j = 0.  Only the e - r unknowns of
+the denominator are solved for, one linear equation per certified
+coefficient of sum_j b_j R_j from q^1; the system must be overdetermined
+(at least one more equation than unknowns) so that a solution on truncated
+data actually means something.  The r-loop returns the first success
+(lowest r).
 """
 
 from __future__ import annotations
@@ -81,32 +84,35 @@ def _series_powers(s: QSeries, top: int) -> list[GeneralLaurent]:
 
 
 def _build_system(s1: QSeries, s2: QSeries, e: int, r: int,
-                  powers: list[GeneralLaurent]) -> LinearSystem:
-    """Equations for one r: columns a_0..a_{e-1}, b_0..b_{e-r-1}; row k
-    is the coefficient of q^(k-e), read off the integer series bodies."""
+                  powers: list[GeneralLaurent]):
+    """Equations for one r, and P_0..P_(e-r): each product s1(q^r)*s2^j is
+    P_j(s2) + R_j with R_j = O(q), its terms at or below q^0 cancelled by
+    the powers of the monic s2.  Columns b_0..b_(e-r-1); row k is the
+    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0."""
     sub = substitute_power(s1, r)
-    sp = [sub * powers[j] for j in range(e - r + 1)]
-    const = sp[e - r] - powers[e]
-    bound = const.prec
-    for i in range(1, e):
-        bound = min(bound, powers[i].prec)
-    for j in range(e - r):
-        bound = min(bound, sp[j].prec)
-    unknowns = 2 * e - r
-    count = bound + e + 1
-    if count < unknowns + 2:
+    bound = min(p.prec for p in powers[1:])
+    polys, cols = [], []
+    for j in range(e - r + 1):
+        rest = sub * powers[j]
+        bound = min(bound, rest.prec)
+        coeffs = [0] * (r + j + 1)
+        while rest.lead <= 0:
+            coeffs[-rest.lead] = c = rest.coeff(rest.lead)
+            rest = rest + powers[-rest.lead].scale(-c)
+        polys.append(Poly.from_coeffs(coeffs))
+        cols.append(rest._shifted(1))
+    if bound < e - r + 1:
         raise InsufficientPrecisionError(
-            f"only {count} certified equations for {unknowns} unknowns at r={r}")
-    cols = [p._shifted(-e) for p in powers[:e]]
-    cols += [-s._shifted(-e) for s in sp[:e - r]] + [const._shifted(-e)]
-    rows = linalg.integer_rows(cols, count)
+            f"only {bound} certified equations for {e - r} unknowns at r={r}")
+    cols[-1] = -cols[-1]
+    rows = linalg.integer_rows(cols, bound)
     return LinearSystem(tuple(row[:-1] for row in rows),
-                        tuple(row[-1] for row in rows))
+                        tuple(row[-1] for row in rows)), polys
 
 
-def _assemble(e: int, r: int, sol: list[Fraction]):
-    num = Poly.from_coeffs(list(sol[:e]) + [Fraction(1)])
-    den = Poly.from_coeffs(list(sol[e:]) + [Fraction(1)])
+def _assemble(polys: list[Poly], sol: list[Fraction]):
+    num = sum((p.scale(b) for p, b in zip(polys, sol)), polys[-1])
+    den = Poly.from_coeffs(list(sol) + [Fraction(1)])
     if poly_gcd(num, den).degree > 0:
         return None  # reducible ansatz: the true relation has lower degree
     return RatFun(num, den)
@@ -130,11 +136,11 @@ def verify_relation(s1: QSeries, s2: QSeries, rel: Relation) -> int:
 
 def _try_r(s1: QSeries, s2: QSeries, e: int, r: int,
            powers: list[GeneralLaurent]):
-    system = _build_system(s1, s2, e, r, powers)
+    system, polys = _build_system(s1, s2, e, r, powers)
     sol = solve_linear(system)
     if sol is None:
         return None
-    f = _assemble(e, r, sol)
+    f = _assemble(polys, sol)
     if f is None:
         return None
     diff = _diff_series(s1, s2, r, f)

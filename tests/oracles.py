@@ -127,6 +127,67 @@ def naive_inner_solve(num, den, lead, target):
     return known
 
 
+# -- relation search by the full ansatz, solved by Gauss-Jordan -------------
+
+def gauss_jordan(rows, nvars):
+    """Solve augmented rows [A | b] of Fractions with ``nvars`` unknowns.
+
+    Returns the unique solution, None when the system is inconsistent, or
+    the string "underdetermined" when it is consistent of rank < nvars.
+    """
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(nvars + 1):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if col == nvars:
+            return None  # a row 0 = b with b != 0
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = [v / rows[rank][col] for v in rows[rank]]
+        rows[rank] = top
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                m = row[col]
+                rows[i] = [v - m * t if t else v for v, t in zip(row, top)]
+        rank += 1
+    if rank < nvars:
+        return "underdetermined"
+    return [rows[i][nvars] for i in range(nvars)]
+
+
+def naive_gcd_degree(a, b):
+    """Degree of gcd(a, b) for ascending Fraction lists, by Euclid."""
+    a, b = naive_add(a, []), naive_add(b, [])
+    while b:
+        a, b = b, naive_divrem(a, b)[1]
+    return len(a) - 1
+
+
+def full_ansatz_relation(sub, powers, e, r):
+    """The monic f = num/den, deg num = e, deg den = e - r, with
+    sub * den(s2) = num(s2), from the full system in all 2e - r unknowns.
+
+    sub is s1(q^r) and powers are s2^0..s2^e (library series, read entry
+    by entry through ``coeff``).  Unknowns a_0..a_(e-1) of num, then
+    b_0..b_(e-r-1) of den; one equation per coefficient from q^-e through
+    the last one every series involved certifies.  Returns (num, den) as
+    ascending Fraction lists, None when the system is inconsistent or its
+    solution reducible, or "underdetermined".
+    """
+    prods = [sub * powers[j] for j in range(e - r + 1)]
+    bound = min([p.prec for p in powers[1:]] + [p.prec for p in prods])
+    rows = [[powers[i].coeff(k) for i in range(e)]
+            + [-prods[j].coeff(k) for j in range(e - r)]
+            + [prods[e - r].coeff(k) - powers[e].coeff(k)]
+            for k in range(-e, bound + 1)]
+    sol = gauss_jordan(rows, 2 * e - r)
+    if sol is None or sol == "underdetermined":
+        return sol
+    num, den = sol[:e] + [Fraction(1)], sol[e:] + [Fraction(1)]
+    return None if naive_gcd_degree(num, den) > 0 else (num, den)
+
+
 # -- composition by homogenized sums ------------------------------------------
 
 def homogenized_composition(g_num, g_den, h_num, h_den):

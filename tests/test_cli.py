@@ -277,3 +277,80 @@ def test_optimized_interpreter_same_output(capsys):
                           capture_output=True, text=True, timeout=120)
     assert code == proc.returncode == 0
     assert proc.stdout == out
+
+
+@pytest.mark.parametrize("text", ["x^²", "x^٣", "²*x", "₂", "x^2+٣"])
+def test_decompose_non_ascii_digits_are_a_syntax_error(capsys, text):
+    code, out, err = run_cli(capsys, "decompose", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: syntax-error:")
+
+
+@pytest.mark.parametrize("verb", [
+    ["chains", "--from", "1A", "--to", "9B"],
+    ["export", "--format", "dot"],
+    ["graph-refine", "--out", "{out}"],
+])
+def test_graph_edge_with_non_ascii_digits_is_a_parse_error(
+        capsys, tmp_path, moonshine_catalog_path, verb):
+    graph_path = tmp_path / "graph.jsonl"
+    run_cli(capsys, "graph-build", "--catalog", str(moonshine_catalog_path),
+            "--out", str(graph_path))
+    lines = graph_path.read_text().splitlines()
+    edge = json.loads(lines[-1])
+    edge["f"] = "x^²"
+    graph_path.write_text("\n".join(lines[:-1] + [json.dumps(edge)]) + "\n")
+    argv = [a.format(out=tmp_path / "out.jsonl") for a in verb]
+    code, out, err = run_cli(capsys, argv[0], "--in", str(graph_path),
+                             *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse-error: line 3: bad function:")
+
+
+def _refine_names(capsys, tmp_path, graph_path):
+    """Refine a graph file; the node names of the result, which must load."""
+    out = tmp_path / "refined.jsonl"
+    code, stdout, err = run_cli(capsys, "graph-refine", "--in",
+                                str(graph_path), "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.endswith(" edges=2\n")  # the one edge split in two
+    code, _, err = run_cli(capsys, "export", "--in", str(out),
+                           "--format", "dot")
+    assert (code, err) == (0, "")
+    return [json.loads(line)["name"] for line in out.read_text().splitlines()
+            if json.loads(line)["type"] == "node"]
+
+
+def test_refine_skips_a_catalog_node_named_like_a_synthetic_one(
+        capsys, tmp_path, moonshine_catalog_path):
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(moonshine_catalog_path.read_text() + json.dumps(
+        {"name": "X1", "area": "7/5", "coeffs": ["1", "2", "3"]}) + "\n")
+    graph_path = tmp_path / "graph.jsonl"
+    run_cli(capsys, "graph-build", "--catalog", str(catalog),
+            "--out", str(graph_path))
+    assert _refine_names(capsys, tmp_path, graph_path) == \
+        ["1A", "9B", "X1", "X2"]
+
+
+def test_refine_skips_a_renamed_catalog_node(capsys, tmp_path,
+                                             moonshine_catalog_path):
+    graph_path = tmp_path / "graph.jsonl"
+    run_cli(capsys, "graph-build", "--catalog", str(moonshine_catalog_path),
+            "--out", str(graph_path))
+    graph_path.write_text(graph_path.read_text().replace('"9B"', '"X1"'))
+    assert _refine_names(capsys, tmp_path, graph_path) == ["1A", "X1", "X2"]
+
+
+def test_refine_survives_a_synthetic_id_too_long_for_int(
+        capsys, tmp_path, moonshine_catalog_path):
+    graph_path = tmp_path / "graph.jsonl"
+    run_cli(capsys, "graph-build", "--catalog", str(moonshine_catalog_path),
+            "--out", str(graph_path))
+    huge = "X" + "7" * 5000
+    node = {"type": "node", "name": huge, "origin": "synthetic",
+            "coeffs": ["0"] * 8}
+    lines = graph_path.read_text().splitlines()
+    graph_path.write_text("\n".join([json.dumps(node)] + lines) + "\n")
+    names = _refine_names(capsys, tmp_path, graph_path)
+    assert sorted(names) == sorted([huge, "1A", "9B", "X1"])

@@ -25,9 +25,12 @@ from conftest import DATA_DIR
 ERROR_LINE = re.compile(r"^error: [a-z-]+: ", re.MULTILINE)
 CONTRACT = settings(derandomize=True, database=None, deadline=None,
                     max_examples=200)
+# the verbs that run the relation search or refinement, and export, take
+# fewer examples each, to keep the suite short
+CONTRACT_SHORT = settings(CONTRACT, max_examples=120)
 
 ATOMS = st.sampled_from(["x", "1", "2", "x+1", "x^2-3"])
-EXPRESSIONS = st.text(alphabet="x0123456789+-*/^() ", max_size=30) | \
+EXPRESSIONS = st.text(alphabet="x0123456789²٣+-*/^() ", max_size=30) | \
     st.recursive(ATOMS, lambda inner: st.tuples(
         inner, st.sampled_from("+-*/"), inner).map(lambda t: "(%s)%s(%s)" % t)
         | st.tuples(inner, st.integers(0, 4)).map(lambda t: "(%s)^%d" % t),
@@ -83,7 +86,9 @@ def _documents(templates):
 
 
 def _check(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # a TextIOWrapper: export writes bytes to sys.stdout.buffer
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
@@ -92,12 +97,13 @@ def _check(argv):
 
 
 def _check_with_file(data, *argv):
-    """_check on argv with "{}" replaced by the path of a file of data."""
+    """_check on argv with "{}" replaced by the path of a file of data and
+    "{dir}" by a directory for the files a verb writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.jsonl")
         with open(path, "wb") as handle:
             handle.write(data)
-        _check([a.format(path) for a in argv])
+        _check([a.format(path, dir=tmp) for a in argv])
 
 
 @CONTRACT
@@ -122,3 +128,31 @@ def test_chains_contract(data):
 def test_relate_contract(data):
     _check_with_file(data, "relate", "--catalog", "{}", "--from", "A",
                      "--to", "B")
+
+
+@CONTRACT_SHORT
+@given(_documents(CATALOG_TEMPLATES))
+def test_graph_build_contract(data):
+    _check_with_file(data, "graph-build", "--catalog", "{}", "--out",
+                     "{dir}/graph.jsonl", "--report", "{dir}/report.jsonl",
+                     "--emax", "4")
+
+
+@CONTRACT_SHORT
+@given(_documents(GRAPH_TEMPLATES))
+def test_graph_refine_contract(data):
+    _check_with_file(data, "graph-refine", "--in", "{}", "--out",
+                     "{dir}/refined.jsonl", "--report", "{dir}/report.jsonl")
+
+
+@CONTRACT_SHORT
+@given(_documents(CATALOG_TEMPLATES))
+def test_modpoly_contract(data):
+    _check_with_file(data, "modpoly", "--catalog", "{}", "--target", "B",
+                     "--emax", "4")
+
+
+@CONTRACT_SHORT
+@given(_documents(GRAPH_TEMPLATES), st.sampled_from(["dot", "jsonlines"]))
+def test_export_contract(data, fmt):
+    _check_with_file(data, "export", "--in", "{}", "--format", fmt)

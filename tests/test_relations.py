@@ -10,11 +10,14 @@ from moondec.errors import (
     UnderdeterminedSystemError,
 )
 from moondec.parsing import parse_ratfun
+from moondec.polynomials import Poly
+from moondec.ratfun import RatFun
 from moondec.relations import (
     LinearSystem,
     Relation,
     _build_system,
     _series_powers,
+    _try_r,
     degree_from_areas,
     find_all_relations,
     find_relation,
@@ -27,7 +30,8 @@ from moondec.series import (
     inner_series_solve,
     substitute_power,
 )
-from planting import plant, random_monic_pair
+from oracles import full_ansatz_relation
+from planting import plant, random_monic_pair, self_replicable
 
 
 def F(v):
@@ -94,17 +98,34 @@ def test_find_relation_insufficient_precision():
 
 
 def test_equation_count_formula():
-    # with prec exactly 2e+1 the certified rows span [-e, e+2]:
-    # 2e + 3 equations, i.e. unknowns + r + 3
+    # with prec exactly 2e+1 the certified bound is q^(e+2): the system
+    # reads rows q^1..q^(e+2) for the e - r unknowns of the denominator, e + 1
+    # rows and e columns fewer than the full ansatz in 2e - r unknowns
     rng = random.Random(60)
     for e, r in [(2, 1), (3, 2), (5, 5), (4, 1)]:
         s1, s2, _ = plant(rng, e, r)
         powers = _series_powers(s2, e)
-        system = _build_system(s1, s2, e, r, powers)
-        unknowns = 2 * e - r  # e numerator and e - r denominator unknowns
-        assert len(system.matrix) == 2 * e + 3
-        assert len(system.matrix[0]) == unknowns
-        assert len(system.matrix) >= unknowns + 3
+        system, polys = _build_system(s1, s2, e, r, powers)
+        assert len(system.matrix) == e + 2
+        assert all(len(row) == e - r for row in system.matrix)
+        assert len(system.matrix) >= (e - r) + 2
+        assert [p.degree for p in polys] == list(range(r, e + 1))
+
+
+def test_system_needs_one_more_equation_than_unknowns():
+    # s2 certified through q^p bounds the rows at q^(p - e + 1), the
+    # precision of s2^e: p = 2e - r - 1 leaves e - r rows for e - r unknowns
+    rng = random.Random(67)
+    e, r = 4, 1
+    s1 = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(30)])
+
+    def system_at(p):
+        s2 = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(p + 1)])
+        return _build_system(s1, s2, e, r, _series_powers(s2, e))[0]
+
+    with pytest.raises(InsufficientPrecisionError):
+        system_at(2 * e - r - 1)
+    assert len(system_at(2 * e - r).matrix) == e - r + 1
 
 
 def test_round_trip_recovery_sample():
@@ -169,46 +190,124 @@ def test_determinism():
     assert first == second
 
 
-def _coeff_rows(s1, s2, e, r, powers):
+def _reduced_rows(s1, s2, e, r, powers):
     """The system read entry by entry through ``GeneralLaurent.coeff``:
-    augmented rows [a_0..a_{e-1}, b_0..b_{e-r-1} | rhs] of Fractions."""
+    P_j by back-substitution on the principal part of s1(q^r)*s2^j, and
+    augmented rows [R_0..R_(e-r-1) | -R_(e-r)] of Fractions at q^1..q^bound,
+    R_j = s1(q^r)*s2^j - P_j(s2)."""
     sub = substitute_power(s1, r)
     sp = [sub * powers[j] for j in range(e - r + 1)]
-    const = sp[e - r] - powers[e]
-    bound = min([const.prec] + [powers[i].prec for i in range(1, e)]
-                + [sp[j].prec for j in range(e - r)])
-    return [[powers[i].coeff(k) for i in range(e)]
-            + [-sp[j].coeff(k) for j in range(e - r)] + [const.coeff(k)]
-            for k in range(-e, bound + 1)]
+    bound = min([p.prec for p in powers[1:]] + [p.prec for p in sp])
+    polys, cols = [], []
+    for j, prod in enumerate(sp):
+        c = {}
+        for m in range(r + j, -1, -1):  # s2^m leads at q^-m with 1
+            c[m] = prod.coeff(-m) - sum(v * powers[i].coeff(-m)
+                                        for i, v in c.items())
+        polys.append(Poly.from_coeffs([c[m] for m in range(r + j + 1)]))
+        cols.append([prod.coeff(k) - sum(v * powers[i].coeff(k)
+                                         for i, v in c.items())
+                     for k in range(1, bound + 1)])
+    cols[-1] = [-v for v in cols[-1]]
+    return polys, [list(row) for row in zip(*cols)]
+
+
+def _fraction_plant(rng, e, r, prec):
+    """A planted (s1, s2, f) whose free series has Fraction coefficients
+    over mixed denominators."""
+    def frac():
+        return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4, 6, 9]))
+
+    f = random_monic_pair(rng, e, r)
+    if r == 1:
+        s2 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
+        s1 = QSeries.from_laurent(eval_ratfun_at_series(f, s2))
+    else:
+        s1 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
+        s2 = inner_series_solve(f, substitute_power(s1, r)).truncate(prec)
+    return s1, s2, f
 
 
 def test_integer_rows_are_one_positive_multiple_of_the_fraction_rows():
     rng = random.Random(64)
-
-    def frac():
-        return Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3, 4, 6, 9]))
-
     for e, r in [(2, 1), (3, 1), (4, 1), (3, 2), (4, 3), (5, 2), (3, 3)]:
-        f = random_monic_pair(rng, e, r)
-        prec = 2 * e + 1
-        if r == 1:
-            s2 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
-            s1 = QSeries.from_laurent(eval_ratfun_at_series(f, s2))
-        else:
-            s1 = QSeries.from_coeffs([frac() for _ in range(prec + 1)])
-            s2 = inner_series_solve(f, substitute_power(s1, r)).truncate(prec)
+        s1, s2, f = _fraction_plant(rng, e, r, 2 * e + 1)
         assert any(c.denominator > 1 for c in s2.coeffs)
         powers = _series_powers(s2, e)
-        system = _build_system(s1, s2, e, r, powers)
-        oracle = _coeff_rows(s1, s2, e, r, powers)
+        system, polys = _build_system(s1, s2, e, r, powers)
+        oracle_polys, oracle = _reduced_rows(s1, s2, e, r, powers)
+        assert polys == oracle_polys
         rows = [list(row) + [rhs]
                 for row, rhs in zip(system.matrix, system.rhs)]
         assert len(rows) == len(oracle)
         assert all(type(v) is int for row in rows for v in row)
-        k, j = next((k, j) for k, row in enumerate(oracle)
-                    for j, v in enumerate(row) if v)
-        mult = rows[k][j] / oracle[k][j]
+        mult = next((a / b for row, orow in zip(rows, oracle)
+                     for a, b in zip(row, orow) if b), 1)
         assert mult > 0
         assert rows == [[mult * v for v in row] for row in oracle]
         rel = find_relation(s1, s2, e)
         assert (rel.r, rel.f) == (r, f)
+
+
+def _oracle_instances(rng, count):
+    """Seeded (s1, s2, e) instances, certified through at least q^(2e+1),
+    cycling through six kinds: planted, planted over Fraction
+    coefficients, planted with one late coefficient of s1 perturbed,
+    self pairs, unrelated pairs, and a planted relation of lower degree
+    d < e (every degree-e ansatz at r = 1 then has a family of solutions)."""
+    for i in range(count):
+        kind = i % 6
+        e = rng.randint(1, 5)
+        r = rng.randint(1, e)
+        prec = 2 * e + 1 + rng.randint(0, 4)
+        if kind == 0:
+            s1, s2, _ = plant(rng, e, r, prec)
+        elif kind == 1:
+            s1, s2, _ = _fraction_plant(rng, e, r, prec)
+        elif kind == 2:
+            s1, s2, _ = plant(rng, e, r, prec)
+            coeffs = list(s1.coeffs)
+            coeffs[rng.randint(prec - 2, prec)] += rng.choice([-1, 1])
+            s1 = QSeries.from_coeffs(coeffs)
+        elif kind == 3:
+            s1 = s2 = QSeries.from_coeffs(
+                [rng.randint(-5, 5) for _ in range(prec + 1)])
+        elif kind == 4:
+            s1, s2 = (QSeries.from_coeffs(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                 for _ in range(prec + 1)]) for _ in range(2))
+        else:
+            e = rng.randint(2, 5)
+            prec = 2 * e + 1 + rng.randint(0, 4)
+            s1, s2, _ = plant(rng, rng.randint(1, e - 1), 1, prec)
+        yield s1, s2, e
+    # the (X, B) pair of the planted-four graph: X = chi(B) at degree 2, so
+    # r = 1 at degree 4 is underdetermined, and X(q^2) = (chi o phi)(B)
+    base = self_replicable(4, 2, 40)
+    chi = parse_ratfun("(x^2+3*x+1)/(x+4)")
+    yield QSeries.from_laurent(eval_ratfun_at_series(chi, base)), base, 4
+
+
+def test_try_r_matches_the_full_ansatz_oracle():
+    seen = {"relation": 0, None: 0, "underdetermined": 0, "r=e": 0}
+    cases = 0
+    for s1, s2, e in _oracle_instances(random.Random(66), 330):
+        powers = _series_powers(s2, e)
+        for r in range(1, e + 1):
+            sub = substitute_power(s1, r)
+            expected = full_ansatz_relation(sub, powers, e, r)
+            if isinstance(expected, tuple):
+                f = RatFun(*(Poly.from_coeffs(c) for c in expected))
+                diff = sub - eval_ratfun_at_series(f, s2)
+                expected = Relation(r, f, e, diff.prec) \
+                    if diff.is_zero else None
+            try:
+                got = _try_r(s1, s2, e, r, powers)
+            except UnderdeterminedSystemError:
+                got = "underdetermined"
+            assert got == expected, (s1, s2, e, r)
+            seen["relation" if isinstance(got, Relation) else got] += 1
+            seen["r=e"] += r == e
+            cases += 1
+    assert cases >= 1000
+    assert min(seen.values()) >= 40, seen
