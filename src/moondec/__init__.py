@@ -25,7 +25,6 @@ from moondec.graph import (
     CatalogEntry,
     GraphEdge,
     GraphNode,
-    ModularRelation,
     RelationGraph,
     build_graph,
     eval_modular_polynomial,

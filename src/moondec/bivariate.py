@@ -62,8 +62,8 @@ class PolyOverPoly:
         return bivariate_text(self)
 
 
-def bivariate_text(p: PolyOverPoly, outer: str = "x", inner: str = "y") -> str:
-    """Canonical expanded text by descending outer power."""
+def bivariate_text(p: PolyOverPoly) -> str:
+    """Canonical expanded text in x (outer) and y, descending in x."""
     if p.is_zero:
         return "0"
     parts = []
@@ -80,9 +80,9 @@ def bivariate_text(p: PolyOverPoly, outer: str = "x", inner: str = "y") -> str:
             if abs(v) != 1 or (i == 0 and j == 0):
                 factors.append(str(abs(v)))
             if i:
-                factors.append(outer if i == 1 else f"{outer}^{i}")
+                factors.append("x" if i == 1 else f"x^{i}")
             if j:
-                factors.append(inner if j == 1 else f"{inner}^{j}")
+                factors.append("y" if j == 1 else f"y^{j}")
             term = "*".join(factors)
             sign = "-" if v < 0 else ("+" if parts or inner_terms else "")
             inner_terms.append(sign + term)

@@ -24,7 +24,6 @@ from moondec.errors import (
     VerificationFailureError,
 )
 from moondec.graph import (
-    ModularRelation,
     build_graph,
     eval_modular_polynomial,
     export_graph,
@@ -278,9 +277,8 @@ def _cmd_modpoly(args) -> int:
                 if not value.is_zero:
                     raise VerificationFailureError(
                         "modular polynomial does not vanish on the series")
-                rel = ModularRelation(target.name, k1, k2, poly)
                 print(f"source={src.name} r1={r1} r2={r2} "
-                      f"k1={rel.k1} k2={rel.k2} P={bivariate_text(rel.p)}")
+                      f"k1={k1} k2={k2} P={bivariate_text(poly)}")
                 emitted += 1
     if emitted == 0:
         print("none")

@@ -30,6 +30,7 @@ from moondec.errors import (
     CatalogParseError,
     DuplicateNameError,
     IdenticalPowersError,
+    InsufficientPrecisionError,
     MoondecError,
     NonMonicPrincipalPartError,
     UnderdeterminedSystemError,
@@ -131,14 +132,6 @@ class RelationGraph:
         raise UnknownNodeError(f"unknown node {name!r}")
 
 
-@dataclass(frozen=True)
-class ModularRelation:
-    series_name: str
-    k1: int
-    k2: int
-    p: PolyOverPoly
-
-
 def _records(source):
     """(line number, JSON object) for each record line of a document."""
     if hasattr(source, "read"):
@@ -205,11 +198,10 @@ def _relate_pair(task):
         return skip("area-quotient-not-natural")
     if e > e_max:
         return skip(f"degree-{e}-exceeds-emax-{e_max}")
-    need = 2 * e + 1
-    if src.series.prec < need or dst.series.prec < need:
-        return skip("insufficient-precision")
     try:
         rel = find_relation(src.series, dst.series, e)
+    except InsufficientPrecisionError:
+        return skip("insufficient-precision")
     except UnderdeterminedSystemError:
         return skip("underdetermined-system")
     if rel is None:
@@ -256,13 +248,11 @@ def _series_monic_unit(t: GeneralLaurent):
         return None
     if t.lead < 0:
         return unit(1, 0, 0, t.coeff(t.lead))
-    if t.lead == 0:
-        c0 = t.coeff(0)
-        rest = t.add_scalar(-c0)
-        if rest.is_zero:
-            return None
-        return unit(0, rest.coeff(rest.lead), 1, -c0)
-    return unit(0, t.coeff(t.lead), 1, 0)
+    c0 = t.coeff(0)
+    rest = t.add_scalar(-c0)
+    if rest.is_zero:
+        return None
+    return unit(0, rest.coeff(rest.lead), 1, -c0)
 
 
 def _reindex(t: GeneralLaurent, s: int) -> QSeries:
@@ -373,10 +363,13 @@ def refine_graph(graph: RelationGraph):
     Every inequivalent one-level decomposition of an edge is used, so all
     complete chains appear; splits whose intermediate series cannot be
     re-indexed (support or divisibility failure) are skipped with a
-    warning and the original edge is kept.
+    warning and the original edge is kept.  An edge whose every split was
+    skipped is kept as it is in later rounds, without a second try or
+    warning.
     """
     state = _Refiner(graph)
     memo: dict = {}
+    unsplittable: set[GraphEdge] = set()
     edges = sorted(graph.edges, key=_edge_sort_key)
     round_bound = 1 + sum(max(1, e.degree.bit_length())
                           for e in edges if e.degree >= 2)
@@ -402,7 +395,8 @@ def refine_graph(graph: RelationGraph):
             emitted[key] = e
 
         for edge in edges:
-            splits = _one_level_splits(edge.fun, memo)
+            splits = (() if edge in unsplittable
+                      else _one_level_splits(edge.fun, memo))
             if not splits:
                 emit(edge)
                 continue
@@ -416,6 +410,7 @@ def refine_graph(graph: RelationGraph):
                 for e in produced:
                     emit(e)
             else:
+                unsplittable.add(edge)
                 emit(edge)
         edges = sorted(emitted.values(), key=_edge_sort_key)
     for name in state.synthetic:

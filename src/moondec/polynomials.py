@@ -204,8 +204,8 @@ ONE = Poly((1,), 1)
 X = Poly((0, 1), 1)
 
 
-def poly_text(p: Poly, var: str = "x") -> str:
-    """Canonical text: expanded, descending powers, '*' and '^' explicit."""
+def poly_text(p: Poly) -> str:
+    """Canonical text in x: expanded, descending powers, explicit '*', '^'."""
     if p.is_zero:
         return "0"
     parts = []
@@ -218,7 +218,7 @@ def poly_text(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "x" if i == 1 else f"x^{i}"
             body = v if mag == 1 else f"{mag}*{v}"
         parts.append(sign + body)
     return "".join(parts)

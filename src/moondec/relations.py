@@ -90,17 +90,17 @@ def _build_system(s1: QSeries, s2: QSeries, e: int, r: int,
     the powers of the monic s2.  Columns b_0..b_(e-r-1); row k is the
     coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0."""
     sub = substitute_power(s1, r)
-    bound = min(p.prec for p in powers[1:])
     polys, cols = [], []
     for j in range(e - r + 1):
         rest = sub * powers[j]
-        bound = min(bound, rest.prec)
         coeffs = [0] * (r + j + 1)
         while rest.lead <= 0:
             coeffs[-rest.lead] = c = rest.coeff(rest.lead)
             rest = rest + powers[-rest.lead].scale(-c)
         polys.append(Poly.from_coeffs(coeffs))
         cols.append(rest._shifted(1))
+    # R_(e-r) is reduced with s2^e and is the least certified rest
+    bound = rest.prec
     if bound < e - r + 1:
         raise InsufficientPrecisionError(
             f"only {bound} certified equations for {e - r} unknowns at r={r}")

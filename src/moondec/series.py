@@ -7,13 +7,14 @@ Two kinds of value:
   certified exact through q^prec -- every operation computes the exact
   certified bound of its result, because the relation search trusts
   precisely the coefficients inside that bound and nothing else.
-  ``prec == EXACT`` marks finitely supported series known exactly (scalars,
-  polynomial values).  In canonical form ``body`` is a canonical ``Poly``
-  with a nonzero lowest numerator and degree at most prec - lead, so equal
-  values have equal fields; a zero-to-prec series is (prec + 1, ZERO,
-  prec) and the exact zero is ``ZERO_SERIES``.  All arithmetic runs on the
-  body's integer numerators; ``coeff`` and ``coeffs`` are ``Fraction``
-  views.
+  Finitely supported series known exactly (scalars, polynomial values)
+  have ``prec == EXACT``, which is infinity, so the rules below hold for
+  them as written; every finite precision is an int.  In canonical form
+  ``body`` is a canonical ``Poly`` with a nonzero lowest numerator and
+  degree at most prec - lead, so equal values have equal fields; a
+  zero-to-prec series is (prec + 1, ZERO, prec) and the exact zero is
+  ``ZERO_SERIES``.  All arithmetic runs on the body's integer numerators;
+  ``coeff`` and ``coeffs`` are ``Fraction`` views.
 
 * ``QSeries``: the catalog shape 1/q + sum_{k=0}^{prec} c_k q^k, a wrapper
   of its monic lead -1 ``GeneralLaurent``.  ``coeffs[k]`` is the
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from moondec.errors import (
     EmptyPrecisionError,
+    InvalidInputError,
     LeadingMismatchError,
     NoRationalSolutionError,
     NonMonicPrincipalPartError,
@@ -46,10 +48,10 @@ from moondec.errors import (
 from moondec.polynomials import ONE, ZERO, Poly, mul_fraction_seqs
 from moondec.ratfun import RatFun
 
-EXACT = 10 ** 9  # precision sentinel: exactly known, finitely supported
+EXACT = inf  # the precision of an exactly known, finitely supported series
 
 
-def _series(lead: int, nums, den: int, prec: int) -> GeneralLaurent:
+def _series(lead: int, nums, den: int, prec: int | float) -> GeneralLaurent:
     """The canonical series sum nums[i]/den q^(lead + i) + O(q^(prec + 1)):
     cut at prec, low zeros stripped."""
     if prec != EXACT:
@@ -67,10 +69,10 @@ def _series(lead: int, nums, den: int, prec: int) -> GeneralLaurent:
 class GeneralLaurent:
     lead: int
     body: Poly
-    prec: int
+    prec: int | float
 
     @staticmethod
-    def make(lead: int, coeffs, prec: int) -> GeneralLaurent:
+    def make(lead: int, coeffs, prec: int | float) -> GeneralLaurent:
         """The canonical series with ``coeffs[i]`` (ints or Fractions) at
         q^(lead + i); for finite precision they must span lead..prec."""
         coeffs = list(coeffs)
@@ -103,12 +105,12 @@ class GeneralLaurent:
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of q^k; k must lie inside the certified range."""
-        if self.prec != EXACT and k > self.prec:
+        if k > self.prec:
             raise ValueError(f"coefficient q^{k} beyond certified q^{self.prec}")
         return self.body.coeff(k - self.lead)
 
     def truncate(self, prec: int) -> GeneralLaurent:
-        if self.prec != EXACT and prec > self.prec:
+        if prec > self.prec:
             raise ValueError("cannot extend certified precision")
         return _series(self.lead, self.body.nums, self.body.den, prec)
 
@@ -143,18 +145,11 @@ class GeneralLaurent:
             return ZERO_SERIES
         # a zero-to-prec series stores lead = prec + 1: it acts as O(q^lead)
         la, lb = self.lead, other.lead
-        if self.prec == EXACT and other.prec == EXACT:
-            prec = EXACT
-        elif self.prec == EXACT:
-            prec = other.prec + la
-        elif other.prec == EXACT:
-            prec = self.prec + lb
-        else:
-            prec = min(self.prec + lb, other.prec + la)
+        prec = min(self.prec + lb, other.prec + la)
         lead = la + lb
         if self.is_zero or other.is_zero:
             return GeneralLaurent(prec + 1, ZERO, prec)
-        if prec != EXACT and prec < lead:
+        if prec < lead:
             raise EmptyPrecisionError(
                 "product has no certified coefficients left")
         a, b = self.body, other.body
@@ -168,15 +163,10 @@ class GeneralLaurent:
         if self.is_exact_zero:
             return ZERO_SERIES
         la, lb = self.lead, other.lead
-        if self.prec == EXACT and other.prec == EXACT:
+        prec = min(self.prec - lb, other.prec - 2 * lb + la)
+        if prec == EXACT:
             raise ValueError(
                 "division of two exact series needs explicit truncation")
-        if self.prec == EXACT:
-            prec = other.prec - 2 * lb + la
-        elif other.prec == EXACT:
-            prec = self.prec - lb
-        else:
-            prec = min(self.prec - lb, other.prec - 2 * lb + la)
         lead = la - lb
         if self.is_zero:
             return GeneralLaurent(prec + 1, ZERO, prec)
@@ -269,10 +259,8 @@ def eval_ratfun_at_series(f: RatFun, s) -> GeneralLaurent:
     """f evaluated at a series (QSeries or GeneralLaurent)."""
     t = s.to_laurent() if isinstance(s, QSeries) else s
     try:
-        num = eval_poly_at_series(f.num, t)
-        if num.is_exact_zero:
-            return num
-        return num / eval_poly_at_series(f.den, t)
+        return (eval_poly_at_series(f.num, t)
+                / eval_poly_at_series(f.den, t))
     except EmptyPrecisionError as exc:
         raise PrecisionExhaustedError(str(exc)) from exc
 
@@ -297,6 +285,8 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     if target.coeff(-d) != lc:
         raise NoRationalSolutionError(
             f"leading coefficient must be {lc} with a monic 1/q ansatz")
+    if target.prec == EXACT:
+        raise InvalidInputError("target must have a finite precision")
     kmax = target.prec + d - 1
     dnum, dden = f.num.derivative(), f.den.derivative()
     body = ONE  # of s_k = 1/q + c_0 + ... + c_(k-1) q^(k-1), from q^-1

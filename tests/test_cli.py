@@ -224,6 +224,27 @@ def test_graph_workflow(capsys, tmp_path, moonshine_catalog_path, flagship):
     assert out.encode() == refined_path.read_bytes()
 
 
+def test_graph_build_skips_a_pair_short_of_precision(
+        capsys, tmp_path, moonshine_catalog_path):
+    # the degree-12 pair 1A -> 9B needs both series through q^25
+    catalog = tmp_path / "cut.jsonl"
+    records = [json.loads(line) for line in
+               moonshine_catalog_path.read_text().splitlines()]
+    catalog.write_text("".join(
+        json.dumps({**rec, "coeffs": rec["coeffs"][:21]}) + "\n"
+        for rec in records))
+    report_path = tmp_path / "report.jsonl"
+    code, out, _ = run_cli(capsys, "graph-build", "--catalog", str(catalog),
+                           "--out", str(tmp_path / "graph.jsonl"),
+                           "--report", str(report_path))
+    assert (code, out) == (0, "nodes=2 edges=0\n")
+    assert report_path.read_text().splitlines() == [
+        '{"kind":"skip","from":"1A","to":"9B",'
+        '"reason":"insufficient-precision"}',
+        '{"kind":"skip","from":"9B","to":"1A",'
+        '"reason":"area-quotient-not-natural"}']
+
+
 def test_chains_same_node(capsys, tmp_path, moonshine_catalog_path):
     graph_path = tmp_path / "graph.jsonl"
     run_cli(capsys, "graph-build", "--catalog", str(moonshine_catalog_path),

@@ -362,6 +362,27 @@ def test_refine_skips_split_when_support_does_not_divide_power():
                             for w in warnings)
 
 
+def test_refine_warns_once_for_an_edge_it_cannot_split(
+        moonshine_catalog_path):
+    """An edge whose every split is skipped is warned about and tried
+    once, while other edges of the graph keep refining for more rounds."""
+    with open(moonshine_catalog_path, "rb") as handle:
+        graph, _ = build_graph(load_catalog(handle), 16)
+    alone, alone_report = refine_graph(graph)
+    base = self_replicable(4, 2, 40)
+    extra = GraphEdge("T", "B", 4, 1,
+                      compose(parse_ratfun("(x^2+3*x+1)/(x+4)"), PHI))
+    nodes = (GraphNode("B", base, "catalog"), GraphNode("T", base, "catalog"))
+    refined, report = refine_graph(
+        RelationGraph(graph.nodes + nodes, graph.edges + (extra,)))
+    assert report == [{"kind": "warning", "from": "T", "to": "B", "r": 1,
+                       "reason": "support-2-does-not-divide-r-1"}] \
+        + alone_report
+    assert refined.nodes == graph.nodes + nodes + alone.nodes[2:]
+    assert refined.edges == tuple(sorted(alone.edges + (extra,),
+                                         key=lambda e: (e.src, e.dst)))
+
+
 def test_refine_rejects_inconsistent_edge():
     """A decomposable edge whose endpoint series do not actually satisfy
     the relation fails the split verification loudly."""

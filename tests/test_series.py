@@ -6,6 +6,7 @@ import pytest
 
 from moondec import series
 from moondec.errors import (
+    InvalidInputError,
     LeadingMismatchError,
     MoondecError,
     NoRationalSolutionError,
@@ -95,6 +96,40 @@ def test_division_matches_the_recurrence():
         assert a / b == GeneralLaurent.make(la - lb, want, prec)
 
 
+_PREC_RULES = {
+    operator.add: lambda a, b: min(a.prec, b.prec),
+    operator.sub: lambda a, b: min(a.prec, b.prec),
+    operator.mul: lambda a, b: min(a.prec + b.lead, b.prec + a.lead),
+    operator.truediv: lambda a, b: min(a.prec - b.lead,
+                                       b.prec - 2 * b.lead + a.lead),
+}
+
+
+def test_only_exact_operands_give_an_exact_precision():
+    """Over exact and finite operand pairs, a result is exact only when
+    both operands are; any other precision is the int that the module
+    docstring's rule gives, so no float reaches a printed bound."""
+    rng = random.Random(62)
+    for case in range(120):
+        a_exact, b_exact = case % 2 == 0, case % 4 < 2
+        operands = []
+        for exact in (a_exact, b_exact):
+            lead, n = rng.randint(-3, 2), rng.randint(1, 8)
+            s = _random_laurent(rng, lead, n, EXACT if exact else lead + n - 1)
+            if not exact and case % 9 == 4:
+                s = L(lead, [0] * n, lead + n - 1)  # zero to its precision
+            operands.append(s)
+        a, b = operands
+        for op, rule in _PREC_RULES.items():
+            if op is operator.truediv and (b.is_zero or a_exact and b_exact):
+                continue
+            prec = op(a, b).prec
+            if a_exact and b_exact:
+                assert prec == EXACT
+            else:
+                assert type(prec) is int and prec == rule(a, b)
+
+
 def test_minimal_precision_keeps_only_the_lead():
     shallow = L(-1, [1], -1)           # only the 1/q term is certified
     cube = shallow * shallow * shallow
@@ -172,6 +207,14 @@ def test_inner_solve_leading_coefficient_unreachable():
         inner_series_solve(parse_ratfun("2*x^2"),
                            GeneralLaurent.make(-2, [1, 0, 0, 0], 1))
     assert err.value.category == "no-rational-solution"
+
+
+def test_inner_solve_rejects_an_exact_target():
+    # an exact target has no last coefficient to stop the Newton loop at
+    target = GeneralLaurent.make(-2, [1, 0, 3], EXACT)
+    with pytest.raises(InvalidInputError) as err:
+        inner_series_solve(parse_ratfun("x^2"), target)
+    assert err.value.category == "invalid-input"
 
 
 def test_inner_solve_round_trip_random():

@@ -31,6 +31,13 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "moondec" / "dat
 J_PREC = 30
 
 
+def check(ok: bool, message: str):
+    """Stop with exit status 1 and a message when a data check fails; unlike
+    assert, this also runs under python -O."""
+    if not ok:
+        sys.exit(f"build_catalogs: check failed: {message}")
+
+
 def sigma3(n: int) -> int:
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
 
@@ -48,7 +55,7 @@ def series_mul(a, b, terms):
 
 def series_inverse(a, terms):
     """1/a for a power series with a[0] = 1."""
-    assert a[0] == 1
+    check(a[0] == 1, f"series_inverse needs a[0] = 1, got {a[0]}")
     inv = [0] * terms
     inv[0] = 1
     for n in range(1, terms):
@@ -76,7 +83,7 @@ def j_coefficients(prec: int) -> list[int]:
         eta24 = series_mul(eta24, factor, terms)
     quotient = series_mul(e4cubed, series_inverse(eta24, terms), terms)
     # j = quotient / q, so c_k = quotient[k + 1]
-    assert quotient[0] == 1
+    check(quotient[0] == 1, f"E4^3/Delta leads with {quotient[0]}, not 1/q")
     return quotient[1: prec + 2]
 
 
@@ -93,17 +100,18 @@ def write_jsonl(path, records):
 def build_moonshine():
     coeffs = j_coefficients(J_PREC)
     known = [744, 196884, 21493760, 864299970, 20245856256]
-    assert coeffs[:5] == known, coeffs[:5]
+    check(coeffs[:5] == known, f"j starts {coeffs[:5]}, expected {known}")
     j = QSeries.from_coeffs(coeffs)
     f = parse_ratfun(FLAGSHIP)
     target = substitute_power(j, 3)
     partner = inner_series_solve(f, target)
-    check = eval_ratfun_at_series(f, partner)
-    assert all(check.coeff(k) == target.coeff(k)
-               for k in range(-3, min(check.prec, target.prec) + 1))
+    forward = eval_ratfun_at_series(f, partner)
+    check(all(forward.coeff(k) == target.coeff(k)
+              for k in range(-3, min(forward.prec, target.prec) + 1)),
+          "f(9B) does not reproduce j(q^3)")
     partner = partner.truncate(J_PREC)
-    assert all(c.denominator == 1 for c in partner.coeffs), \
-        "derived partner series should be integral"
+    check(all(c.denominator == 1 for c in partner.coeffs),
+          "derived partner series should be integral")
     records = [
         {"name": "1A", "area": "1",
          "coeffs": [str(c) for c in j.coeffs]},
