@@ -18,6 +18,7 @@ from moondec.bivariate import bivariate_text
 from moondec.decompose import DecompositionChain, all_chains, decompose_one_level
 from moondec.errors import (
     InsufficientPrecisionError,
+    InvalidInputError,
     MoondecError,
     UnderdeterminedSystemError,
     UnknownNodeError,
@@ -125,6 +126,14 @@ def _entry(catalog, name):
     raise UnknownNodeError(f"no catalog entry named {name!r}")
 
 
+def _check_emax(emax):
+    """A degree bound below 1 searches nothing: reject it rather than
+    report that nothing was found."""
+    if emax is not None and emax < 1:
+        raise InvalidInputError(
+            f"--emax must be a positive integer, not {emax}")
+
+
 def _write_report(path, records):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -171,6 +180,7 @@ def _candidate_degrees(args, src, dst):
 
 
 def _cmd_relate(args) -> int:
+    _check_emax(args.emax)
     catalog = _load_catalog_file(args.catalog)
     src = _entry(catalog, args.src)
     dst = _entry(catalog, args.dst)
@@ -212,6 +222,7 @@ def _cmd_relate(args) -> int:
 
 
 def _cmd_graph_build(args) -> int:
+    _check_emax(args.emax)
     catalog = _load_catalog_file(args.catalog)
     graph, report = build_graph(catalog, args.emax, jobs=args.jobs)
     with open(args.out, "wb") as handle:
@@ -249,6 +260,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_modpoly(args) -> int:
+    _check_emax(args.emax)
     catalog = _load_catalog_file(args.catalog)
     target = _entry(catalog, args.target)
     emitted = 0

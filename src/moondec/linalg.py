@@ -38,6 +38,13 @@ def _null_vector(echelon, pivots, free_col, ncols):
     return vec
 
 
+def inconsistent(aug_rows, nvars):
+    """True when the augmented integer system ``[A | b]`` with ``nvars``
+    unknowns has no solution: its right-hand-side column is a pivot of the
+    echelon form, so rank [A | b] > rank A."""
+    return nvars in _kernels.row_echelon(aug_rows)[1]
+
+
 def solve_unique(aug_rows, nvars):
     """Solve an augmented integer system ``[A | b]`` with ``nvars`` unknowns.
 

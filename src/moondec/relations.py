@@ -13,6 +13,15 @@ coefficient of sum_j b_j R_j from q^1; the system must be overdetermined
 (at least one more equation than unknowns) so that a solution on truncated
 data actually means something.  The r-loop returns the first success
 (lowest r).
+
+Most systems are inconsistent, and the scan rejects those on a leading
+block before it builds them in full.  The block is the same system built
+from both series truncated to q^(2e+1), the precision the scan requires:
+its e + 2 rows are rows q^1..q^(e+2) of the full system, each scaled by
+one positive constant.  A row subset of [A | b] of rank (e - r) + 1 means
+rank [A | b] > rank A, so the full system is inconsistent too and that r
+has no relation.  Every other r is solved on the full series, so the
+block changes no result: a consistent system has only consistent blocks.
 """
 
 from __future__ import annotations
@@ -158,8 +167,16 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
         raise InsufficientPrecisionError(
             f"series must be certified through q^{need} "
             f"(have {s1.prec} and {s2.prec})")
-    powers = _series_powers(s2, e)
+    head1, head2 = s1.truncate(need), s2.truncate(need)
+    head_powers = _series_powers(head2, e)
+    powers = None
     for r in range(1, e + 1):
+        block = _build_system(head1, head2, e, r, head_powers)[0]
+        if linalg.inconsistent([(*row, b) for row, b in
+                                zip(block.matrix, block.rhs)], e - r):
+            continue
+        if powers is None:
+            powers = _series_powers(s2, e)
         try:
             rel = _try_r(s1, s2, e, r, powers)
         except UnderdeterminedSystemError:

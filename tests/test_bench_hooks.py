@@ -5,7 +5,9 @@ renamed or deleted function would silently drop a traced layer.  The
 tracer module is loaded read-only: nothing is wrapped by it here.  Its
 self-test also expects the decompose workload to reach every layer it
 lists, so the layers that decomposition reaches only through
-``chains_equivalent`` are checked with counting wrappers.
+``chains_equivalent`` are checked with counting wrappers, and so are the
+layers that a catalog relation scan reaches only past its leading-block
+rejection.
 """
 
 import importlib
@@ -22,6 +24,17 @@ def _tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Wrap ``module.name`` so that each call adds one to ``calls[name]``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_every_traced_target_resolves():
@@ -51,18 +64,8 @@ def test_solve_linear_takes_a_system_with_a_matrix():
 def test_flagship_chains_reach_nullspace_and_row_echelon(monkeypatch, flagship):
     from moondec import _kernels, decompose, linalg
     calls = {}
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    count(linalg, "nullspace")
-    count(_kernels, "row_echelon")
+    _count_calls(monkeypatch, calls, linalg, "nullspace")
+    _count_calls(monkeypatch, calls, _kernels, "row_echelon")
     decompose._chains_cached.cache_clear()
     decompose.all_chains(flagship)
     assert calls.get("nullspace", 0) >= 1
@@ -85,3 +88,22 @@ def test_flagship_chains_still_reach_poly_gcd(monkeypatch, flagship):
     decompose._chains_cached.cache_clear()
     decompose.all_chains(flagship)
     assert calls
+
+
+def test_catalog_scan_still_reaches_the_full_solve(monkeypatch,
+                                                   moonshine_catalog_path):
+    # leading blocks reject most r before a full system is built, but the
+    # traced catalog self-test lists solve_linear, nullspace and row_echelon
+    from moondec import _kernels, linalg, relations
+    from moondec.graph import load_catalog
+    calls = {}
+    _count_calls(monkeypatch, calls, relations, "solve_linear")
+    _count_calls(monkeypatch, calls, linalg, "nullspace")
+    _count_calls(monkeypatch, calls, _kernels, "row_echelon")
+    with open(moonshine_catalog_path, "rb") as handle:
+        series = {c.name: c.series for c in load_catalog(handle)}
+    found = relations.find_all_relations(series["1A"], series["9B"], 12)
+    assert [rel.r for rel in found] == [1, 3, 9]
+    assert calls.get("nullspace", 0) >= 1
+    assert calls.get("row_echelon", 0) >= 1
+    assert 1 <= calls.get("solve_linear", 0) < 12

@@ -156,6 +156,23 @@ def test_relate_emax_scan_is_lazy(capsys, moonshine_catalog_path):
     assert run_cli(capsys, *args, str(10 ** 12)) == expected
 
 
+@pytest.mark.parametrize("emax", ["0", "-1"])
+@pytest.mark.parametrize("verb", ["relate", "graph-build", "modpoly"])
+def test_nonpositive_emax_is_invalid_input(capsys, tmp_path,
+                                           moonshine_catalog_path, verb,
+                                           emax):
+    # 9B -> 1A has no natural area quotient, so relate reads --emax
+    extra = {"relate": ["--from", "9B", "--to", "1A"],
+             "graph-build": ["--out", str(tmp_path / "g.jsonl")],
+             "modpoly": ["--target", "9B"]}[verb]
+    code, out, err = run_cli(capsys, verb, "--catalog",
+                             str(moonshine_catalog_path), *extra,
+                             "--emax", emax)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid-input:")
+    assert not (tmp_path / "g.jsonl").exists()
+
+
 @pytest.fixture()
 def replicable_catalog(tmp_path):
     base = self_replicable(4, 2, 24)

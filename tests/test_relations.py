@@ -311,3 +311,69 @@ def test_try_r_matches_the_full_ansatz_oracle():
             cases += 1
     assert cases >= 1000
     assert min(seen.values()) >= 40, seen
+
+
+def _late_perturbed_plants(rng, count):
+    """Planted r = 1 instances certified beyond q^(2e+1) with s1 changed
+    only there: the leading block is the planted system, consistent, while
+    the full system sees the change.  (At r >= 2 a change at q^m of s1
+    reaches s1(q^r) only at q^(rm), past every certified row.)"""
+    for i in range(count):
+        e = rng.randint(1, 5)
+        prec = 2 * e + 2 + rng.randint(0, 4)
+        s1, s2, _ = (plant if i % 2 else _fraction_plant)(rng, e, 1, prec)
+        coeffs = list(s1.coeffs)
+        coeffs[rng.randint(2 * e + 2, prec)] += rng.choice([-1, 1])
+        yield QSeries.from_coeffs(coeffs), s2, e
+
+
+def test_block_rejection_matches_the_full_scan():
+    seen = dict.fromkeys(["relation", "late-row None", "block-rejected None",
+                          "underdetermined", "relation at r=1",
+                          "relation at r>=2", "Fraction coefficients"], 0)
+    rng = random.Random(68)
+    instances = [*_oracle_instances(rng, 200),
+                 *_late_perturbed_plants(rng, 60)]
+    for s1, s2, e in instances:
+        need = 2 * e + 1
+        head1, head2 = s1.truncate(need), s2.truncate(need)
+        head_powers, powers = _series_powers(head2, e), _series_powers(s2, e)
+        fractional = any(c.denominator > 1 for c in s1.coeffs + s2.coeffs)
+        outcomes = []  # the reference: _try_r on the full series, every r
+        for r in range(1, e + 1):
+            block = _build_system(head1, head2, e, r, head_powers)[0]
+            try:
+                rejected = solve_linear(block) is None
+            except UnderdeterminedSystemError:
+                rejected = False
+            try:
+                got = _try_r(s1, s2, e, r, powers)
+            except UnderdeterminedSystemError:
+                got = "underdetermined"
+            if rejected:
+                # a row subset of rank nvars + 1 refutes the full system
+                assert got is None, (s1, s2, e, r)
+                seen["block-rejected None"] += 1
+            elif got is None:
+                seen["late-row None"] += 1
+            elif isinstance(got, Relation):
+                seen["relation"] += 1
+                seen["relation at r=1" if r == 1 else "relation at r>=2"] += 1
+                seen["Fraction coefficients"] += fractional
+            else:
+                seen[got] += 1
+            outcomes.append(got)
+        for skip in (False, True):
+            expected = []
+            for got in outcomes:
+                if got == "underdetermined" and not skip:
+                    expected = "underdetermined"
+                    break
+                if isinstance(got, Relation):
+                    expected.append(got)
+            try:
+                found = find_all_relations(s1, s2, e, skip)
+            except UnderdeterminedSystemError:
+                found = "underdetermined"
+            assert found == expected, (s1, s2, e, skip)
+    assert min(seen.values()) >= 20, seen
