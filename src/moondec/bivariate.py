@@ -67,13 +67,11 @@ def bivariate_text(p: PolyOverPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    for i, c in reversed(list(enumerate(p.coeffs))):
         if c.is_zero:
             continue
         inner_terms = []
-        for j in range(len(c.coeffs) - 1, -1, -1):
-            v = c.coeffs[j]
+        for j, v in reversed(list(enumerate(c.coeffs))):
             if v == 0:
                 continue
             factors = []

@@ -126,12 +126,12 @@ def _entry(catalog, name):
     raise UnknownNodeError(f"no catalog entry named {name!r}")
 
 
-def _check_emax(emax):
-    """A degree bound below 1 searches nothing: reject it rather than
-    report that nothing was found."""
-    if emax is not None and emax < 1:
+def _check_positive(flag, value):
+    """A degree bound or worker count below 1 asks for no work: reject it
+    rather than search nothing or quietly run on one worker."""
+    if value is not None and value < 1:
         raise InvalidInputError(
-            f"--emax must be a positive integer, not {emax}")
+            f"{flag} must be a positive integer, not {value}")
 
 
 def _write_report(path, records):
@@ -180,7 +180,7 @@ def _candidate_degrees(args, src, dst):
 
 
 def _cmd_relate(args) -> int:
-    _check_emax(args.emax)
+    _check_positive("--emax", args.emax)
     catalog = _load_catalog_file(args.catalog)
     src = _entry(catalog, args.src)
     dst = _entry(catalog, args.dst)
@@ -222,7 +222,8 @@ def _cmd_relate(args) -> int:
 
 
 def _cmd_graph_build(args) -> int:
-    _check_emax(args.emax)
+    _check_positive("--emax", args.emax)
+    _check_positive("--jobs", args.jobs)
     catalog = _load_catalog_file(args.catalog)
     graph, report = build_graph(catalog, args.emax, jobs=args.jobs)
     with open(args.out, "wb") as handle:
@@ -260,7 +261,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_modpoly(args) -> int:
-    _check_emax(args.emax)
+    _check_positive("--emax", args.emax)
     catalog = _load_catalog_file(args.catalog)
     target = _entry(catalog, args.target)
     emitted = 0

@@ -209,8 +209,7 @@ def poly_text(p: Poly) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    for i, c in reversed(list(enumerate(p.coeffs))):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -11,8 +11,8 @@ iff num = sum_j b_j P_j and sum_j b_j R_j = 0.  Only the e - r unknowns of
 the denominator are solved for, one linear equation per certified
 coefficient of sum_j b_j R_j from q^1; the system must be overdetermined
 (at least one more equation than unknowns) so that a solution on truncated
-data actually means something.  The r-loop returns the first success
-(lowest r).
+data actually means something; a solution needs no evaluation of f(s2)
+(see _try_r).  The r-loop returns the first success (lowest r).
 
 Most systems are inconsistent, and the scan rejects those on a leading
 block before it builds them in full.  The block is the same system built
@@ -92,12 +92,12 @@ def _series_powers(s: QSeries, top: int) -> list[GeneralLaurent]:
     return powers
 
 
-def _build_system(s1: QSeries, s2: QSeries, e: int, r: int,
+def _build_system(s1: QSeries, e: int, r: int,
                   powers: list[GeneralLaurent]):
     """Equations for one r, and P_0..P_(e-r): each product s1(q^r)*s2^j is
     P_j(s2) + R_j with R_j = O(q), its terms at or below q^0 cancelled by
-    the powers of the monic s2.  Columns b_0..b_(e-r-1); row k is the
-    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0."""
+    the powers s2^0..s2^e of the monic s2.  Columns b_0..b_(e-r-1); row k is
+    the coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0."""
     sub = substitute_power(s1, r)
     polys, cols = [], []
     for j in range(e - r + 1):
@@ -132,11 +132,10 @@ def _diff_series(s1: QSeries, s2: QSeries, r: int, f: RatFun) -> GeneralLaurent:
 
 
 def verify_relation(s1: QSeries, s2: QSeries, rel: Relation) -> int:
-    """Highest certified exponent through which s1(q^r) - f(s2(q)) vanishes.
-
-    A nonzero certified coefficient at q^k yields k - 1; full vanishing
-    yields the certified bound of the recomputation.
-    """
+    """Highest certified exponent through which s1(q^r) - f(s2(q)) vanishes,
+    by evaluating f(s2) afresh (``relate --verify``): k - 1 for a nonzero
+    certified coefficient at q^k, else the recomputation's certified bound,
+    which for a relation the scan found is its verified_to."""
     diff = _diff_series(s1, s2, rel.r, rel.f)
     if diff.is_zero:
         return diff.prec
@@ -145,17 +144,18 @@ def verify_relation(s1: QSeries, s2: QSeries, rel: Relation) -> int:
 
 def _try_r(s1: QSeries, s2: QSeries, e: int, r: int,
            powers: list[GeneralLaurent]):
-    system, polys = _build_system(s1, s2, e, r, powers)
+    """The relation at power r, or None.  A solution zeroes every certified
+    row q^1..q^bound of den(s2)*s1(q^r) - num(s2) = sum_j b_j R_j, and
+    den(s2) leads with q^(r-e): s1(q^r) - f(s2) vanishes through
+    q^(bound+e-r) = min(r*prec(s1), prec(s2) - r + 1), all it certifies."""
+    system, polys = _build_system(s1, e, r, powers)
     sol = solve_linear(system)
     if sol is None:
         return None
     f = _assemble(polys, sol)
     if f is None:
         return None
-    diff = _diff_series(s1, s2, r, f)
-    if not diff.is_zero:
-        return None  # fails post-hoc verification on some certified coefficient
-    return Relation(r=r, f=f, e=e, verified_to=diff.prec)
+    return Relation(r, f, e, min(r * s1.prec, s2.prec - r + 1))
 
 
 def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
@@ -171,7 +171,7 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
     head_powers = _series_powers(head2, e)
     powers = None
     for r in range(1, e + 1):
-        block = _build_system(head1, head2, e, r, head_powers)[0]
+        block = _build_system(head1, e, r, head_powers)[0]
         if linalg.inconsistent([(*row, b) for row, b in
                                 zip(block.matrix, block.rhs)], e - r):
             continue

@@ -7,7 +7,7 @@ self-test also expects the decompose workload to reach every layer it
 lists, so the layers that decomposition reaches only through
 ``chains_equivalent`` are checked with counting wrappers, and so are the
 layers that a catalog relation scan reaches only past its leading-block
-rejection.
+rejection, or that ``relate`` reaches only under ``--verify``.
 """
 
 import importlib
@@ -107,3 +107,26 @@ def test_catalog_scan_still_reaches_the_full_solve(monkeypatch,
     assert calls.get("nullspace", 0) >= 1
     assert calls.get("row_echelon", 0) >= 1
     assert 1 <= calls.get("solve_linear", 0) < 12
+
+
+def test_relate_evaluates_f_only_under_verify(monkeypatch, capsys,
+                                              moonshine_catalog_path):
+    # the scan trusts its solved system; --verify re-evaluates f(s2) once
+    # per printed relation, which keeps eval_ratfun_at_series and
+    # laurent_div in the traced catalog self-test
+    from moondec import cli, relations, series
+    argv = ["relate", "--catalog", str(moonshine_catalog_path),
+            "--from", "1A", "--to", "9B", "--all-r"]
+    for verify in (False, True):
+        calls = {}
+        with monkeypatch.context() as patch:
+            for module in (series, relations):
+                _count_calls(patch, calls, module, "eval_ratfun_at_series")
+            _count_calls(patch, calls, series.GeneralLaurent, "__truediv__")
+            code = cli.main(argv + ["--verify"] * verify)
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(printed) == 3, printed
+        assert calls.get("eval_ratfun_at_series", 0) == \
+            (len(printed) if verify else 0), calls
+        if verify:
+            assert calls.get("__truediv__", 0) >= 1, calls

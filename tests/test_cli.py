@@ -173,6 +173,18 @@ def test_nonpositive_emax_is_invalid_input(capsys, tmp_path,
     assert not (tmp_path / "g.jsonl").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_is_invalid_input(capsys, tmp_path,
+                                           moonshine_catalog_path, jobs):
+    code, out, err = run_cli(capsys, "graph-build", "--catalog",
+                             str(moonshine_catalog_path),
+                             "--out", str(tmp_path / "g.jsonl"),
+                             "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid-input: --jobs")
+    assert not (tmp_path / "g.jsonl").exists()
+
+
 @pytest.fixture()
 def replicable_catalog(tmp_path):
     base = self_replicable(4, 2, 24)

@@ -105,7 +105,7 @@ def test_equation_count_formula():
     for e, r in [(2, 1), (3, 2), (5, 5), (4, 1)]:
         s1, s2, _ = plant(rng, e, r)
         powers = _series_powers(s2, e)
-        system, polys = _build_system(s1, s2, e, r, powers)
+        system, polys = _build_system(s1, e, r, powers)
         assert len(system.matrix) == e + 2
         assert all(len(row) == e - r for row in system.matrix)
         assert len(system.matrix) >= (e - r) + 2
@@ -121,7 +121,7 @@ def test_system_needs_one_more_equation_than_unknowns():
 
     def system_at(p):
         s2 = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(p + 1)])
-        return _build_system(s1, s2, e, r, _series_powers(s2, e))[0]
+        return _build_system(s1, e, r, _series_powers(s2, e))[0]
 
     with pytest.raises(InsufficientPrecisionError):
         system_at(2 * e - r - 1)
@@ -234,7 +234,7 @@ def test_integer_rows_are_one_positive_multiple_of_the_fraction_rows():
         s1, s2, f = _fraction_plant(rng, e, r, 2 * e + 1)
         assert any(c.denominator > 1 for c in s2.coeffs)
         powers = _series_powers(s2, e)
-        system, polys = _build_system(s1, s2, e, r, powers)
+        system, polys = _build_system(s1, e, r, powers)
         oracle_polys, oracle = _reduced_rows(s1, s2, e, r, powers)
         assert polys == oracle_polys
         rows = [list(row) + [rhs]
@@ -313,6 +313,39 @@ def test_try_r_matches_the_full_ansatz_oracle():
     assert min(seen.values()) >= 40, seen
 
 
+def test_verified_to_matches_verify_relation_on_uneven_precisions():
+    # the scan states verified_to = min(r*prec(s1), prec(s2) - r + 1) from
+    # its solved system; re-evaluating f(s2) must give the same exponent
+    # when either series is cut shorter than the other
+    seen = dict.fromkeys(["r*prec(s1)", "prec(s2)-r+1", "r>=2",
+                          "r>=2 at r*prec(s1)", "Fraction coefficients"], 0)
+    rng = random.Random(69)
+    for i in range(150):
+        e = rng.randint(1, 4)
+        r = rng.randint(1, e)
+        cut_s1 = i % 2 == 0
+        prec = (r * (2 * e + 3) if cut_s1 else 2 * e + 1) + rng.randint(0, 6)
+        s1, s2, _ = (_fraction_plant if i % 3 == 0 else plant)(rng, e, r, prec)
+        if cut_s1:
+            s1 = s1.truncate(2 * e + 1 + rng.randint(0, 2))
+        else:
+            s2 = s2.truncate(rng.randint(2 * e + 1, prec))
+        found = find_all_relations(s1, s2, e, skip_underdetermined=True)
+        assert any(rel.r == r for rel in found), (s1, s2, e, r)
+        for rel in found:
+            assert rel.verified_to == verify_relation(s1, s2, rel), \
+                (s1, s2, rel)
+            left, right = rel.r * s1.prec, s2.prec - rel.r + 1
+            if left != right:
+                branch = "r*prec(s1)" if left < right else "prec(s2)-r+1"
+                seen[branch] += 1
+                seen["r>=2 at r*prec(s1)"] += rel.r >= 2 and left < right
+            seen["r>=2"] += rel.r >= 2
+            seen["Fraction coefficients"] += any(
+                c.denominator > 1 for c in s1.coeffs + s2.coeffs)
+    assert min(seen.values()) >= 20, seen
+
+
 def _late_perturbed_plants(rng, count):
     """Planted r = 1 instances certified beyond q^(2e+1) with s1 changed
     only there: the leading block is the planted system, consistent, while
@@ -341,7 +374,7 @@ def test_block_rejection_matches_the_full_scan():
         fractional = any(c.denominator > 1 for c in s1.coeffs + s2.coeffs)
         outcomes = []  # the reference: _try_r on the full series, every r
         for r in range(1, e + 1):
-            block = _build_system(head1, head2, e, r, head_powers)[0]
+            block = _build_system(head1, e, r, head_powers)[0]
             try:
                 rejected = solve_linear(block) is None
             except UnderdeterminedSystemError:
