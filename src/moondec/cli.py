@@ -41,6 +41,7 @@ from moondec.relations import (
     degree_from_areas,
     find_all_relations,
     find_relation,
+    lowest_degree_relations,
     verify_relation,
 )
 from moondec.series import substitute_power
@@ -265,16 +266,9 @@ def _cmd_modpoly(args) -> int:
     catalog = _load_catalog_file(args.catalog)
     target = _entry(catalog, args.target)
     emitted = 0
-    for src in catalog:
-        by_power: dict[int, Relation] = {}
-        for e in range(1, args.emax + 1):
-            try:
-                found = find_all_relations(src.series, target.series, e,
-                                           skip_underdetermined=True)
-            except InsufficientPrecisionError:
-                break
-            for rel in found:
-                by_power.setdefault(rel.r, rel)
+    scans = lowest_degree_relations((c.series for c in catalog),
+                                    target.series, args.emax)
+    for src, by_power in zip(catalog, scans):
         powers = sorted(by_power)
         for i in range(len(powers)):
             for j in range(i + 1, len(powers)):

@@ -4,6 +4,8 @@ Rows arrive as integers, read off ``Poly`` columns by ``integer_rows`` under
 one common multiple of the column denominators (scaling every row by the
 same positive number keeps the solution set); the kernel eliminates them
 fraction-free, and only the final back-substitution runs in ``Fraction``.
+An overdetermined system is solved on its leading rows, and the solution
+they pin is checked on the others by integer substitution.
 """
 
 from fractions import Fraction
@@ -55,7 +57,24 @@ def solve_unique(aug_rows, nvars):
     system is consistent iff the right-hand side column is free, and x is
     read off its null vector, the last one (a pivot in that column leaves
     0 there in every null vector).
+
+    The leading nvars + 1 rows are eliminated first.  A pivot in their
+    right-hand side column already makes the system inconsistent; when
+    they pin a unique x, every solution of the system is x, so it is
+    checked on the other rows by one integer dot product each.  Only a
+    rank-deficient leading block eliminates the whole system.
     """
+    basis = nullspace(aug_rows[:nvars + 1], nvars + 1)
+    if not basis or basis[-1][nvars] != 1:
+        return None
+    if len(basis) == 1:
+        x = [-v for v in basis[0][:nvars]]
+        mult = lcm(*(v.denominator for v in x))
+        ints = [v.numerator * (mult // v.denominator) for v in x]
+        for row in aug_rows[nvars + 1:]:
+            if sum(a * v for a, v in zip(row, ints)) != row[nvars] * mult:
+                return None
+        return x
     basis = nullspace(aug_rows, nvars + 1)
     if not basis or basis[-1][nvars] != 1:
         return None

@@ -130,3 +130,61 @@ def test_relate_evaluates_f_only_under_verify(monkeypatch, capsys,
             (len(printed) if verify else 0), calls
         if verify:
             assert calls.get("__truediv__", 0) >= 1, calls
+
+
+def _bundled_series(path, cut=None):
+    from moondec.graph import load_catalog
+    with open(path, "rb") as handle:
+        return {c.name: c.series.truncate(cut) if cut else c.series
+                for c in load_catalog(handle)}
+
+
+def test_block_that_is_the_full_system_is_built_once(monkeypatch,
+                                                     moonshine_catalog_path):
+    # certified only through q^(2e+1), the leading block holds every row
+    # of the full system: each r is built and eliminated once
+    from moondec import relations
+    series = _bundled_series(moonshine_catalog_path, 25)
+    calls = {}
+    _count_calls(monkeypatch, calls, relations, "_build_system")
+    found = relations.find_all_relations(series["1A"], series["9B"], 12)
+    assert [rel.r for rel in found] == [1, 3, 9]
+    assert calls["_build_system"] == 12
+
+
+def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
+                                                   moonshine_catalog_path):
+    # a power that has a relation at a lower degree is not scanned again
+    # (its system would be underdetermined), and s2's full-precision
+    # powers are one table for the whole op, each power built once
+    from moondec import cli, errors, linalg, relations
+    prec = _bundled_series(moonshine_catalog_path)["9B"].prec
+    raised, tables, built = [], [], []
+    solve_unique, series_powers = linalg.solve_unique, relations._series_powers
+
+    def counting_solve(*args):
+        try:
+            return solve_unique(*args)
+        except errors.UnderdeterminedSystemError:
+            raised.append(1)
+            raise
+
+    def counting_powers(s, top, powers=None):
+        before = len(powers) if powers is not None else 0
+        out = series_powers(s, top, powers)
+        if s.prec == prec:
+            if not any(out is t for t in tables):
+                tables.append(out)
+            built.append(len(out) - before)
+        return out
+
+    monkeypatch.setattr(linalg, "solve_unique", counting_solve)
+    monkeypatch.setattr(relations, "_series_powers", counting_powers)
+    code = cli.main(["modpoly", "--catalog", str(moonshine_catalog_path),
+                     "--target", "9B", "--emax", "12"])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0 and printed, printed
+    assert raised == []
+    assert len(tables) == 1
+    # the table starts at s2^0; every higher power is appended once
+    assert sum(built) == len(tables[0]) - 1 <= 12

@@ -21,6 +21,7 @@ from moondec.relations import (
     degree_from_areas,
     find_all_relations,
     find_relation,
+    lowest_degree_relations,
     solve_linear,
     verify_relation,
 )
@@ -409,4 +410,85 @@ def test_block_rejection_matches_the_full_scan():
             except UnderdeterminedSystemError:
                 found = "underdetermined"
             assert found == expected, (s1, s2, e, skip)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_build_pads_bodies_that_end_in_zeros():
+    # a body drops its trailing zeros, so series known exactly to a few
+    # terms are stored far shorter than their certified range; the integer
+    # build must read those zeros as zeros, not as the end of the series
+    rng = random.Random(70)
+    seen = {"integer": 0, "Fraction": 0}
+    for i in range(40):
+        e = rng.randint(1, 6)
+        r = rng.randint(1, e)
+        prec = 2 * e + 1 + rng.randint(0, 5)
+
+        def short_series():
+            terms = rng.randint(0, 3)
+            den = 1 if i % 2 else rng.choice([2, 3, 6])
+            head = [Fraction(rng.randint(-6, 6), den) for _ in range(terms)]
+            return QSeries.from_coeffs(head + [0] * (prec + 1 - terms))
+
+        s1, s2 = short_series(), short_series()
+        for s in (s1, s2):
+            assert len(s.laurent.body.nums) < s.prec + 2
+        powers = _series_powers(s2, e)
+        system, polys = _build_system(s1, e, r, powers)
+        oracle_polys, oracle = _reduced_rows(s1, s2, e, r, powers)
+        assert polys == oracle_polys, (s1, s2, e, r)
+        rows = [list(row) + [rhs]
+                for row, rhs in zip(system.matrix, system.rhs)]
+        assert len(rows) == len(oracle)
+        mult = next((a / b for row, orow in zip(rows, oracle)
+                     for a, b in zip(row, orow) if b), 1)
+        assert mult > 0
+        assert rows == [[mult * v for v in row] for row in oracle], \
+            (s1, s2, e, r)
+        seen["Fraction" if i % 2 == 0 else "integer"] += any(
+            v for row in oracle for v in row)
+    assert min(seen.values()) >= 10, seen
+
+
+def _per_degree_scan(s1, s2, emax):
+    """{r: lowest-degree relation}, by scanning every r at every degree."""
+    found = {}
+    for e in range(1, emax + 1):
+        try:
+            rels = find_all_relations(s1, s2, e, skip_underdetermined=True)
+        except InsufficientPrecisionError:
+            break
+        for rel in rels:
+            found.setdefault(rel.r, rel)
+    return found
+
+
+def test_lowest_degree_relations_match_the_per_degree_scan(
+        moonshine_catalog_path, synthetic_pair_path):
+    # the degree driver skips every r that already has a relation and
+    # shares one table of s2's powers across sources and degrees
+    from moondec.graph import load_catalog
+    seen = {"relations": 0, "skipped-degree relations": 0, "stops": 0}
+    rng = random.Random(71)
+    groups = []
+    for s1, s2, e in _oracle_instances(rng, 120):
+        groups.append(([s1, s2, s1], s2, e + rng.randint(0, 2)))
+    for path in (moonshine_catalog_path, synthetic_pair_path):
+        with open(path, "rb") as handle:
+            catalog = [c.series for c in load_catalog(handle)]
+        for cut in (None, 20, 25):
+            cat = [s.truncate(min(cut or s.prec, s.prec)) for s in catalog]
+            for s2 in cat:
+                groups.append((cat, s2, 12))
+    for sources, s2, emax in groups:
+        got = list(lowest_degree_relations(iter(sources), s2, emax))
+        expected = [_per_degree_scan(s1, s2, emax) for s1 in sources]
+        assert got == expected, (sources, s2, emax)
+        for s1, by_power in zip(sources, got):
+            seen["relations"] += len(by_power)
+            # r was left out of the scan at degree rel.e + 1
+            seen["skipped-degree relations"] += sum(
+                rel.e < emax and min(s1.prec, s2.prec) >= 2 * rel.e + 3
+                for rel in by_power.values())
+        seen["stops"] += any(s.prec < 2 * emax + 1 for s in [*sources, s2])
     assert min(seen.values()) >= 20, seen
