@@ -13,6 +13,7 @@ from math import lcm
 
 from moondec import _kernels
 from moondec.errors import UnderdeterminedSystemError
+from moondec.polynomials import clear_denominators
 
 
 def integer_rows(columns, count):
@@ -69,8 +70,7 @@ def solve_unique(aug_rows, nvars):
         return None
     if len(basis) == 1:
         x = [-v for v in basis[0][:nvars]]
-        mult = lcm(*(v.denominator for v in x))
-        ints = [v.numerator * (mult // v.denominator) for v in x]
+        ints, mult = clear_denominators(x)
         for row in aug_rows[nvars + 1:]:
             if sum(a * v for a, v in zip(row, ints)) != row[nvars] * mult:
                 return None

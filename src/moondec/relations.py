@@ -120,9 +120,9 @@ def _build_system(s1: QSeries, e: int, r: int,
     each step is one scaled integer row subtraction.  Bodies drop trailing
     zeros, so every row is padded to the coefficients it must hold."""
     sub = substitute_power(s1, r)
-    # R_(e-r) is reduced with s2^e and is the least certified rest: its
-    # product is certified through the first two bounds, and the powers of
-    # s2 lose precision as they grow, so s2^e is the least certified one
+    # R_(e-r) is the least certified rest: the product s1(q^r)*s2^(e-r) is
+    # certified through the first two terms, and it is reduced with s2^e,
+    # the least certified power (powers of s2 lose precision as they grow)
     bound = min(sub.prec - (e - r), powers[e - r].prec - r, powers[e].prec)
     if bound < e - r + 1:
         raise InsufficientPrecisionError(
