@@ -264,7 +264,13 @@ def _reindex(t: GeneralLaurent, s: int) -> QSeries:
 def _verified_fully(src_series: QSeries, dst_series: QSeries,
                     edge: GraphEdge) -> bool:
     """Edge check: the defining difference vanishes through its entire
-    certified range, and that range reaches at least degree + 2."""
+    certified range, and that range reaches at least degree + 2.
+
+    src(q^r) has a pole of order r and f(dst) one of order deg num(f) -
+    deg den(f), so an edge whose orders differ fails before anything is
+    evaluated (src(q^r) would hold r times as many terms as src)."""
+    if edge.power != edge.fun.num.degree - edge.fun.den.degree:
+        return False
     diff = _diff_series(src_series, dst_series, edge.power, edge.fun)
     return diff.is_zero and diff.prec >= edge.degree + 2
 

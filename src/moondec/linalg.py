@@ -3,9 +3,10 @@
 Rows arrive as integers, read off ``Poly`` columns by ``integer_rows`` under
 one common multiple of the column denominators (scaling every row by the
 same positive number keeps the solution set); the kernel eliminates them
-fraction-free, and only the final back-substitution runs in ``Fraction``.
-An overdetermined system is solved on its leading rows, and the solution
-they pin is checked on the others by integer substitution.
+fraction-free, and back-substitution stays on the integers, so null vectors
+are integer vectors.  An overdetermined system is solved on its leading
+rows, and the solution they pin is checked on the others by integer
+substitution; only that solution is built in ``Fraction``.
 """
 
 from fractions import Fraction
@@ -13,7 +14,6 @@ from math import lcm
 
 from moondec import _kernels
 from moondec.errors import UnderdeterminedSystemError
-from moondec.polynomials import clear_denominators
 
 
 def integer_rows(columns, count):
@@ -26,18 +26,20 @@ def integer_rows(columns, count):
 
 
 def _null_vector(echelon, pivots, free_col, ncols):
-    """The null vector with 1 at ``free_col`` and 0 at the other free
-    columns, by back-substitution through the pivot rows."""
-    vec = [Fraction(0)] * ncols
-    vec[free_col] = Fraction(1)
+    """The integer null vector with the minor D of the pivot columns at
+    ``free_col`` and 0 at the other free columns, by back-substitution
+    through the pivot rows.  D is the last Bareiss pivot, so by Cramer's
+    rule the pivot coordinates are integers and every division is exact."""
+    vec = [0] * ncols
+    vec[free_col] = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     for k in reversed(range(len(pivots))):
         c = pivots[k]
         row = echelon[k]
-        acc = Fraction(0)
+        acc = 0
         for j in range(c + 1, ncols):
             if row[j] and vec[j]:
                 acc += row[j] * vec[j]
-        vec[c] = -acc / row[c]
+        vec[c] = -acc // row[c]
     return vec
 
 
@@ -56,39 +58,39 @@ def solve_unique(aug_rows, nvars):
     UnderdeterminedSystemError: a solution that is not pinned down by the
     data must not be reported.  A x = b iff [A | b] (-x, 1) = 0, so the
     system is consistent iff the right-hand side column is free, and x is
-    read off its null vector, the last one (a pivot in that column leaves
-    0 there in every null vector).
+    read off its null vector v = D (-x, 1), the last one (a pivot in that
+    column leaves 0 there in every null vector).
 
     The leading nvars + 1 rows are eliminated first.  A pivot in their
     right-hand side column already makes the system inconsistent; when
     they pin a unique x, every solution of the system is x, so it is
-    checked on the other rows by one integer dot product each.  Only a
-    rank-deficient leading block eliminates the whole system.
+    checked on the other rows by one integer dot product row . v == 0
+    each.  Only a rank-deficient leading block eliminates the whole system.
     """
     basis = nullspace(aug_rows[:nvars + 1], nvars + 1)
-    if not basis or basis[-1][nvars] != 1:
+    if not basis or basis[-1][nvars] == 0:
         return None
     if len(basis) == 1:
-        x = [-v for v in basis[0][:nvars]]
-        ints, mult = clear_denominators(x)
         for row in aug_rows[nvars + 1:]:
-            if sum(a * v for a, v in zip(row, ints)) != row[nvars] * mult:
+            if sum(a * v for a, v in zip(row, basis[0])):
                 return None
-        return x
-    basis = nullspace(aug_rows, nvars + 1)
-    if not basis or basis[-1][nvars] != 1:
-        return None
-    if len(basis) > 1:
-        raise UnderdeterminedSystemError(
-            f"system has rank {nvars + 1 - len(basis)} < {nvars} unknowns")
-    return [-v for v in basis[0][:nvars]]
+    else:
+        basis = nullspace(aug_rows, nvars + 1)
+        if not basis or basis[-1][nvars] == 0:
+            return None
+        if len(basis) > 1:
+            raise UnderdeterminedSystemError(
+                f"system has rank {nvars + 1 - len(basis)} < {nvars} unknowns")
+    v = basis[0]
+    return [Fraction(-c, v[nvars]) for c in v[:nvars]]
 
 
 def nullspace(rows, nvars):
-    """Null space basis of a homogeneous integer system, as Fraction vectors.
+    """Null space basis of a homogeneous integer system, as integer vectors.
 
-    One basis vector per free column, each with a 1 in its free coordinate;
-    deterministic order (free columns ascending).
+    One basis vector per free column, each nonzero in its free coordinate
+    only among the free columns; deterministic order (free columns
+    ascending).
     """
     echelon, pivots = _kernels.row_echelon(rows)
     pivot_set = set(pivots)

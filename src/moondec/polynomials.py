@@ -7,41 +7,21 @@ the highest stored numerator is nonzero, ``den > 0`` and
 values therefore have equal fields, so dataclass equality and hashing are
 value equality.  All arithmetic runs on the integers; ``coeffs`` is a
 derived ``Fraction`` view for text output and sort keys.  The degree of the
-zero polynomial is the ``MINUS_INFINITY`` sentinel, never a number.
+zero polynomial is ``MINUS_INFINITY``, -infinity, so deg(p*q) = deg p + deg q
+holds for zero factors too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from moondec import _kernels
 from moondec.errors import BothZeroError, ZeroDivisionPolyError, ZeroPolyError
 
 
-class _MinusInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not MINUS_INFINITY
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is MINUS_INFINITY
-
-    def __repr__(self):
-        return "-infinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
+MINUS_INFINITY = -inf  # the degree of the zero polynomial
 
 
 def clear_denominators(coeffs):

@@ -8,13 +8,14 @@ den(0) != 0); every function of degree >= 1 can be moved into normal form by
 composing with units on both sides, and that normalization is the entry
 point of the decomposition algorithm.  A unit is a degree-1 function
 (a*x + b)/(c*x + d), ad - bc != 0: an ordinary RatFun, applied by compose.
+The value of a function at a pole is ``INFINITY``, the float infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from moondec.errors import (
     ConstantInnerError,
@@ -33,16 +34,7 @@ from moondec.polynomials import (
 )
 
 
-class _Infinity:
-    """Value of a rational function at a pole; compares equal only to itself."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "infinity"
-
-
-INFINITY = _Infinity()
+INFINITY = inf  # the value of a function at a pole
 
 
 def _monic_den(num: Poly, den: Poly) -> RatFun:
@@ -79,9 +71,8 @@ class RatFun:
 
     @property
     def degree(self) -> int:
-        """max(deg num, deg den); constants (including zero) have degree 0."""
-        if self.num.is_zero:
-            return 0
+        """max(deg num, deg den); constants (including zero, whose den is
+        ONE) have degree 0."""
         return max(self.num.degree, self.den.degree)
 
     @property
@@ -186,7 +177,7 @@ def compose(g: RatFun, h: RatFun) -> RatFun:
 
 
 def evaluate(f: RatFun, point):
-    """f(point); the INFINITY marker at poles."""
+    """f(point); INFINITY at poles."""
     nv = f.num.evaluate(point)
     dv = f.den.evaluate(point)
     if dv == 0:
@@ -199,9 +190,7 @@ def evaluate(f: RatFun, point):
 
 def is_normal_form(f: RatFun) -> bool:
     """True iff deg num > deg den and num(0) = 0 (so den(0) != 0)."""
-    return (not f.num.is_zero
-            and f.num.degree > f.den.degree
-            and f.num.coeff(0) == 0)
+    return f.num.degree > f.den.degree and f.num.coeff(0) == 0
 
 
 def unit(a, b, c, d) -> RatFun:
@@ -234,13 +223,13 @@ def to_normal_form(f: RatFun) -> tuple[RatFun, RatFun, RatFun]:
         ident = RatFun.identity()
         return ident, ident, f
     a = 0
-    while evaluate(f, a) is INFINITY:
+    while evaluate(f, a) == INFINITY:
         a += 1
     fa = evaluate(f, a)
     a2 = a + 1
     while True:
         fa2 = evaluate(f, a2)
-        if fa2 is not INFINITY and fa2 != fa:
+        if fa2 != INFINITY and fa2 != fa:
             break
         a2 += 1
     v = unit(a, a2, 1, 1)

@@ -12,8 +12,9 @@ Two kinds of value:
   them as written; every finite precision is an int.  In canonical form
   ``body`` is a canonical ``Poly`` with a nonzero lowest numerator and
   degree at most prec - lead, so equal values have equal fields; a
-  zero-to-prec series is (prec + 1, ZERO, prec) and the exact zero is
-  ``ZERO_SERIES``.  All arithmetic runs on the body's integer numerators;
+  zero-to-prec series is (prec + 1, ZERO, prec), and the exact zero
+  ``ZERO_SERIES`` is that rule at prec = EXACT, zero through q^infinity.
+  All arithmetic runs on the body's integer numerators;
   ``coeff`` and ``coeffs`` are ``Fraction`` views.
 
 * ``QSeries``: the catalog shape 1/q + sum_{k=0}^{prec} c_k q^k, a wrapper
@@ -51,7 +52,8 @@ from moondec.ratfun import RatFun
 EXACT = inf  # the precision of an exactly known, finitely supported series
 
 
-def _series(lead: int, nums, den: int, prec: int | float) -> GeneralLaurent:
+def _series(lead: int | float, nums, den: int,
+            prec: int | float) -> GeneralLaurent:
     """The canonical series sum nums[i]/den q^(lead + i) + O(q^(prec + 1)):
     cut at prec, low zeros stripped."""
     if prec != EXACT:
@@ -60,14 +62,13 @@ def _series(lead: int, nums, den: int, prec: int | float) -> GeneralLaurent:
     while low < len(nums) and nums[low] == 0:
         low += 1
     if low == len(nums):
-        return ZERO_SERIES if prec == EXACT else GeneralLaurent(
-            prec + 1, ZERO, prec)
+        return GeneralLaurent(prec + 1, ZERO, prec)
     return GeneralLaurent(lead + low, Poly.make(nums[low:], den), prec)
 
 
 @dataclass(frozen=True)
 class GeneralLaurent:
-    lead: int
+    lead: int | float
     body: Poly
     prec: int | float
 
@@ -83,7 +84,7 @@ class GeneralLaurent:
 
     @staticmethod
     def exact_scalar(value) -> GeneralLaurent:
-        return GeneralLaurent(0, Poly.constant(value), EXACT)
+        return GeneralLaurent.make(0, [value], EXACT)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -99,10 +100,6 @@ class GeneralLaurent:
         """Identically zero through the certified precision."""
         return not self.body.nums
 
-    @property
-    def is_exact_zero(self) -> bool:
-        return self == ZERO_SERIES
-
     def coeff(self, k: int) -> Fraction:
         """Coefficient of q^k; k must lie inside the certified range."""
         if k > self.prec:
@@ -113,11 +110,6 @@ class GeneralLaurent:
         if prec > self.prec:
             raise ValueError("cannot extend certified precision")
         return _series(self.lead, self.body.nums, self.body.den, prec)
-
-    def scale(self, k) -> GeneralLaurent:
-        if k == 0:
-            return ZERO_SERIES
-        return GeneralLaurent(self.lead, self.body.scale(k), self.prec)
 
     def add_scalar(self, value) -> GeneralLaurent:
         """Add an exact constant (affects only the q^0 coefficient)."""
@@ -141,8 +133,6 @@ class GeneralLaurent:
         return self + (-other)
 
     def __mul__(self, other: GeneralLaurent) -> GeneralLaurent:
-        if self.is_exact_zero or other.is_exact_zero:
-            return ZERO_SERIES
         # a zero-to-prec series stores lead = prec + 1: it acts as O(q^lead)
         la, lb = self.lead, other.lead
         prec = min(self.prec + lb, other.prec + la)
@@ -160,16 +150,14 @@ class GeneralLaurent:
     def __truediv__(self, other: GeneralLaurent) -> GeneralLaurent:
         if other.is_zero:
             raise SeriesZeroDivisionError("division by a zero series")
-        if self.is_exact_zero:
-            return ZERO_SERIES
         la, lb = self.lead, other.lead
         prec = min(self.prec - lb, other.prec - 2 * lb + la)
+        if self.is_zero:
+            return GeneralLaurent(prec + 1, ZERO, prec)
         if prec == EXACT:
             raise ValueError(
                 "division of two exact series needs explicit truncation")
         lead = la - lb
-        if self.is_zero:
-            return GeneralLaurent(prec + 1, ZERO, prec)
         if prec < lead:
             raise EmptyPrecisionError(
                 "quotient has no certified coefficients left")
@@ -191,7 +179,7 @@ class GeneralLaurent:
         return _series(lead, nums, den, prec)
 
 
-ZERO_SERIES = GeneralLaurent(0, ZERO, EXACT)
+ZERO_SERIES = GeneralLaurent(EXACT, ZERO, EXACT)
 
 
 @dataclass(frozen=True)
@@ -250,8 +238,7 @@ def eval_poly_at_series(p: Poly, t: GeneralLaurent) -> GeneralLaurent:
     """Horner evaluation of a Poly at a series."""
     acc = ZERO_SERIES
     for n in reversed(p.nums):
-        term = GeneralLaurent(0, Poly.make((n,), p.den), EXACT)
-        acc = term if acc.is_exact_zero else acc * t + term
+        acc = acc * t + GeneralLaurent(0, Poly.make((n,), p.den), EXACT)
     return acc
 
 
@@ -274,7 +261,7 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     s_k - P(s_k)/P'(s_k) is exact through q^(2k): each step takes k to
     2k+1 coefficients, and the target's precision caps the last one.
     """
-    d = (f.num.degree if not f.num.is_zero else 0) - f.den.degree
+    d = f.num.degree - f.den.degree
     if d < 1:
         raise LeadingMismatchError(
             "numerator degree must exceed denominator degree")

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -306,6 +307,35 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "degrees 2*2: x^2 o x^2\n"
+
+
+def test_refine_rejects_an_edge_whose_power_is_not_its_pole_order(
+        capsys, tmp_path, moonshine_catalog_path):
+    """src(q^r) holds r times as many terms as src, so an edge with a huge
+    r must fail verification on its pole orders before anything is
+    expanded; under a memory cap the expansion would be a MemoryError."""
+    graph = tmp_path / "graph.jsonl"
+    assert run_cli(capsys, "graph-build", "--catalog",
+                   str(moonshine_catalog_path), "--out", str(graph))[0] == 0
+    records = [json.loads(line) for line in graph.read_text().splitlines()]
+    for rec in records:
+        if rec["type"] == "edge" and rec["d"] == 12:
+            rec["r"] *= 10 ** 15
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+    def cap_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "moondec.cli", "graph-refine", "--in",
+         str(huge), "--out", str(tmp_path / "refined.jsonl")],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: verification-failure: refined edge")
+    assert "does not verify" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_chains_malformed_graph_is_a_parse_error(capsys, tmp_path):

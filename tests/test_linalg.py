@@ -1,4 +1,5 @@
-"""``linalg.solve_unique`` against sympy's rank and ``linsolve``.
+"""``linalg.solve_unique`` against sympy's rank and ``linsolve``, and
+``linalg.nullspace`` against sympy's ``nullspace``.
 
 The solver eliminates the leading nvars + 1 rows first and checks the
 other rows by substitution, so the seeded systems cover each way the
@@ -16,7 +17,7 @@ import pytest
 import sympy as sp
 
 from moondec.errors import UnderdeterminedSystemError
-from moondec.linalg import solve_unique
+from moondec.linalg import nullspace, solve_unique
 
 
 def _combination_rows(rng, count, nvars, rank):
@@ -90,3 +91,34 @@ def test_solve_unique_matches_sympy():
         else:
             assert solve_unique(rows, nvars) == expected, rows
     assert min(seen.values()) >= 20, seen
+
+
+def test_nullspace_gives_integer_vectors_proportional_to_sympys():
+    """Back-substitution stays on the integers: each basis vector is an
+    integer multiple of sympy's, free column for free column, also when a
+    free column lies between two pivots."""
+    rng = random.Random(73)
+    free_between_pivots = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(2, 7)
+        cols = []
+        for _ in range(ncols):
+            if cols and rng.random() < 0.4:  # a combination of earlier ones
+                weights = [rng.randint(-3, 3) for _ in cols]
+                cols.append([sum(w * c[i] for w, c in zip(weights, cols))
+                             for i in range(nrows)])
+            else:
+                cols.append([rng.randint(-6, 6) for _ in range(nrows)])
+        rows = [list(row) for row in zip(*cols)]
+        matrix = sp.Matrix(rows)
+        pivots = matrix.rref()[1]
+        if any(j < max(pivots, default=-1) and j not in pivots
+               for j in range(ncols)):
+            free_between_pivots += 1
+        basis = nullspace(rows, ncols)
+        expected = matrix.nullspace()
+        assert len(basis) == len(expected), rows
+        for vec, ref in zip(basis, expected):
+            assert all(type(v) is int for v in vec), vec
+            assert sp.Matrix.hstack(sp.Matrix(vec), ref).rank() == 1, rows
+    assert free_between_pivots >= 20, free_between_pivots

@@ -43,6 +43,12 @@ def test_degree_of_zero_is_a_marker_not_a_number():
     assert P(3).degree == 0
 
 
+def test_degree_of_a_product_with_zero_is_the_sum_of_degrees():
+    for p in (ZERO, ONE, P(0, 3), P(1, -2, 0, Fraction(5, 7))):
+        assert (p * ZERO).degree == p.degree + ZERO.degree == MINUS_INFINITY
+        assert (ZERO * p).degree is MINUS_INFINITY
+
+
 def test_divrem_telescoping():
     q, r = poly_divrem(P(-1, 0, 0, 1), P(-1, 1))  # (x^3 - 1) / (x - 1)
     assert q == P(1, 1, 1)

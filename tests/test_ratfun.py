@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -121,6 +122,16 @@ def _random_ratfun(rng, degree):
 def test_evaluate():
     assert evaluate(parse_ratfun("1/x"), 0) is INFINITY
     assert evaluate(parse_ratfun("x^2"), 3) == 9
+
+
+def test_value_at_a_pole_is_float_infinity():
+    for text, pole in (("1/x", 0), ("(x^2+1)/(x-3)", 3),
+                       ("x/(2*x+1)^2", Fraction(-1, 2))):
+        assert evaluate(parse_ratfun(text), pole) == math.inf
+    assert evaluate(parse_ratfun("1/x"), 2) != INFINITY
+    zero = RatFun.constant(0)
+    assert zero.den == ONE and zero.degree == 0
+    assert not is_normal_form(zero)
 
 
 def test_evaluate_flagship_at_one(flagship):

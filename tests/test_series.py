@@ -14,7 +14,7 @@ from moondec.errors import (
     ZeroSeriesError,
 )
 from moondec.parsing import parse_ratfun
-from moondec.polynomials import Poly
+from moondec.polynomials import ZERO, Poly
 from moondec.ratfun import RatFun
 from moondec.series import (
     EXACT,
@@ -461,16 +461,37 @@ def test_series_arithmetic_matches_plain_fraction_oracles():
 
         k = rng.choice([0, 3, Fraction(-7, 2 ** 80 + 1)])
         if k == 0:
-            assert sa.scale(k) == ZERO_SERIES
+            assert sa * GeneralLaurent.exact_scalar(k) == ZERO_SERIES
         else:
             scaled = _terms(a[0], [c * k for c in a[1]], a[2])
-            _check(sa.scale(k), a[2], scaled)
+            _check(sa * GeneralLaurent.exact_scalar(k), a[2], scaled)
         value = rng.choice([0, 5, Fraction(2 ** 89, 3)])
         _check(sa.add_scalar(value), a[2],
                _oracle_sum(a, (0, [value], EXACT), a[2]))
         top = a[0] + len(a[1]) + 1 if a[2] == EXACT else a[2]
         cut = rng.randint(a[0] - 2, top)
         _check(sa.truncate(cut), cut, _terms(a[0], a[1], cut))
+
+
+def test_exact_zero_is_the_zero_to_prec_rule_at_infinity():
+    """ZERO_SERIES is (prec + 1, ZERO, prec) at prec = EXACT, and every
+    route to an exact zero lands on it, against finite and exact operands."""
+    assert ZERO_SERIES == GeneralLaurent(EXACT + 1, ZERO, EXACT)
+    _assert_canonical(ZERO_SERIES)
+    assert GeneralLaurent.exact_scalar(0) == ZERO_SERIES
+    assert GeneralLaurent.make(-2, [0, 0, 0], EXACT) == ZERO_SERIES
+    rng = random.Random(62)
+    for case in range(24):
+        lead, cs, prec = _plain_operand(rng, case)
+        s = GeneralLaurent.make(lead, cs, prec)
+        for result in (s * ZERO_SERIES, ZERO_SERIES * s,
+                       eval_poly_at_series(ZERO, s)):
+            assert result == ZERO_SERIES
+        assert s + ZERO_SERIES == s and ZERO_SERIES - s == -s
+        if not s.is_zero:
+            assert ZERO_SERIES / s == ZERO_SERIES
+        cut = rng.randint(-4, 6)
+        _check(ZERO_SERIES.truncate(cut), cut, {})
 
 
 def test_substitute_power_matches_spread_coefficients():
@@ -492,8 +513,9 @@ def test_equal_values_from_different_spellings_are_equal():
         s = GeneralLaurent.make(lead, cs, prec)
         spellings = [
             GeneralLaurent.make(lead - 2, [0, 0] + cs, prec),
-            s.scale(Fraction(3, 2 ** 70)).scale(Fraction(2 ** 70, 3)),
-            (s + s).scale(Fraction(1, 2)),
+            s * GeneralLaurent.exact_scalar(Fraction(3, 2 ** 70))
+            * GeneralLaurent.exact_scalar(Fraction(2 ** 70, 3)),
+            (s + s) * GeneralLaurent.exact_scalar(Fraction(1, 2)),
             s * GeneralLaurent.exact_scalar(1),
             s.add_scalar(Fraction(1, 7)).add_scalar(Fraction(-1, 7)),
         ]
