@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import lcm
 
 from moondec.bivariate import bivariate_text
@@ -54,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: it holds no state of a call."""
     parser = _Parser(prog="moondec",
                      description="rational-function decomposition and "
                                  "q-series relation graphs")

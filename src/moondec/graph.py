@@ -45,28 +45,31 @@ from moondec.series import (
     ZERO_SERIES,
     GeneralLaurent,
     QSeries,
-    eval_poly_at_series,
+    combine_powers,
     eval_ratfun_at_series,
     power_support,
+    series_powers,
 )
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# ASCII digits only: \d and int() also take '٣' and the other Nd digits
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 # '"', backslash, the C0 and C1 controls and the Unicode line breaks
 _BAD_NAME_RE = re.compile(r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029]')
 
 
-def _parse_rational(text, lineno) -> Fraction:
+def _parse_rational(text, lineno) -> int | Fraction:
+    """An int for an integer literal, a Fraction for p/q."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise CatalogParseError(f"not a rational literal: {text!r}", lineno)
     try:
-        return Fraction(text)
+        return Fraction(text) if "/" in text else int(text)
     except ZeroDivisionError:
         raise CatalogParseError(f"zero denominator: {text!r}", lineno) from None
     except ValueError as exc:  # more digits than int() accepts
         raise CatalogParseError(str(exc), lineno) from None
 
 
-def _parse_coeffs(value, lineno) -> list[Fraction]:
+def _parse_coeffs(value, lineno) -> list[int | Fraction]:
     if not isinstance(value, list):
         raise CatalogParseError("coeffs must be an array", lineno)
     return [_parse_rational(c, lineno) for c in value]
@@ -100,7 +103,7 @@ def _check_fields(rec, required, optional, lineno):
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    area: Fraction
+    area: int | Fraction
     series: QSeries
 
 
@@ -425,19 +428,41 @@ def refine_graph(graph: RelationGraph):
     return RelationGraph(tuple(state.nodes), tuple(edges)), state.report
 
 
+def _reachable(start: str, step: dict[str, list[str]]) -> set[str]:
+    """The names reachable from start along step, start included."""
+    seen, todo = {start}, [start]
+    while todo:
+        for name in step.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
 def maximal_chains(graph: RelationGraph, src: str, dst: str):
     """All simple directed paths src -> dst along indecomposable edges,
-    sorted by length descending (ties broken lexicographically)."""
+    sorted by length descending (ties broken lexicographically).
+
+    Only edges on some src -> dst walk are decomposed: an edge whose
+    source src cannot reach, or whose target cannot reach dst, lies on no
+    such path, whether it decomposes or not."""
     names = {n.name for n in graph.nodes}
     for name in (src, dst):
         if name not in names:
             raise UnknownNodeError(f"unknown node {name!r}")
     if src == dst:
         return [[]]
+    forward: dict[str, list[str]] = {}
+    backward: dict[str, list[str]] = {}
+    for e in graph.edges:
+        forward.setdefault(e.src, []).append(e.dst)
+        backward.setdefault(e.dst, []).append(e.src)
+    from_src, to_dst = _reachable(src, forward), _reachable(dst, backward)
     memo: dict = {}
     adjacency: dict[str, list[GraphEdge]] = {}
     for e in sorted(graph.edges, key=_edge_sort_key):
-        if not _one_level_splits(e.fun, memo):
+        if e.src in from_src and e.dst in to_dst \
+                and not _one_level_splits(e.fun, memo):
             adjacency.setdefault(e.src, []).append(e)
     paths, trail, visited = [], [], {src}
     # depth first on an explicit stack: no recursion limit on long paths
@@ -478,10 +503,13 @@ def modular_polynomial(f1: RatFun, k1: int, f2: RatFun, k2: int) -> PolyOverPoly
 
 def eval_modular_polynomial(p: PolyOverPoly, xs: GeneralLaurent,
                             ys: GeneralLaurent) -> GeneralLaurent:
-    """P(xs, ys) by Horner in the outer variable."""
+    """P(xs, ys) by Horner in the outer variable; each coefficient of P is
+    a combination of one table of the powers of ys."""
+    powers = series_powers(ys, max((len(c.nums) for c in p.coeffs),
+                                   default=1) - 1)
     acc = ZERO_SERIES
     for c in reversed(p.coeffs):
-        acc = acc * xs + eval_poly_at_series(c, ys)
+        acc = acc * xs + combine_powers(c.nums, c.den, powers)
     return acc
 
 

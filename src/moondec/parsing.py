@@ -10,6 +10,12 @@
 Whitespace is insignificant.  The canonical printer (ratfun_text) emits text
 this grammar accepts, so printing and parsing round-trip exactly.
 
+Text in the printed form itself, an expanded polynomial or
+``(num)/(den)`` of two, is read by a regular expression straight into
+``Poly`` coefficients; any other text, and any printed text that a cap or
+check below would reject, goes to the recursive-descent parser, which
+stays the reference for both.
+
 Text can neither exhaust the stack nor spell a value exponentially larger
 than itself: nesting is capped (the parser recurses once per level), and so
 are integer literals and every power, the one operator that grows a value
@@ -18,9 +24,11 @@ faster than its text.  A power is checked before it is computed.
 
 from __future__ import annotations
 
-from math import gcd
+import re
+from math import gcd, lcm
 
 from moondec.errors import RatFunSyntaxError
+from moondec.polynomials import ONE, Poly
 from moondec.ratfun import RatFun
 
 MAX_DEPTH = 100       # nested parentheses
@@ -59,8 +67,66 @@ class _Tokenizer:
         return int(self.text[start:self.pos])
 
 
+# A printed term: [sign] (p[/q][*x[^k]] | x[^k]), ASCII digits only.
+_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*(x))?|(x))"
+                      r"(?:\^([0-9]+))?")
+_QUOTIENT_RE = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
+
+
 def parse_ratfun(text: str) -> RatFun:
     """Parse per the module grammar into a canonical RatFun."""
+    m = _QUOTIENT_RE.fullmatch(text)
+    if m is None:
+        num, den = _printed_poly(text), ONE
+    else:
+        num, den = _printed_poly(m[1]), _printed_poly(m[2])
+    if num is None or den is None or den.is_zero:
+        return _parse_descent(text)
+    return RatFun(num, ONE) if m is None else RatFun.make(num, den)
+
+
+def _literal(digits: str) -> int | None:
+    """int(digits), or None for a literal that take_int rejects."""
+    return None if len(digits) * 3 > MAX_BITS else int(digits)
+
+
+def _printed_poly(text: str) -> Poly | None:
+    """The polynomial of text in poly_text's form, read term by term; None
+    for any other text, and for text the general parser would reject or
+    read through a power of a constant: a long literal, an exponent
+    outside 1..MAX_DEGREE, a zero denominator."""
+    terms = []
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None or (m[1] == "+" if pos == 0 else not m[1]):
+            return None
+        sign, p, q, times_x, bare_x, k = m.groups()
+        if k is None:
+            k = 0 if p and not times_x else 1
+        elif not (times_x or bare_x):
+            return None
+        else:
+            k = _literal(k)
+            if k is None or not 1 <= k <= MAX_DEGREE:
+                return None
+        p = _literal(p) if p else 1
+        q = _literal(q) if q else 1
+        if p is None or not q:
+            return None
+        terms.append((k, -p if sign == "-" else p, q))
+        pos = m.end()
+    if not terms:
+        return None
+    den = lcm(*(q for _, _, q in terms))
+    nums = [0] * (1 + max(k for k, _, _ in terms))
+    for k, p, q in terms:
+        nums[k] += p * (den // q)
+    return Poly.make(nums, den)
+
+
+def _parse_descent(text: str) -> RatFun:
+    """The recursive-descent parser of the module grammar."""
     tok = _Tokenizer(text)
     value = _expr(tok)
     tok.skip_ws()

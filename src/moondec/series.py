@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, isqrt, lcm
 
 from moondec.errors import (
     EmptyPrecisionError,
@@ -234,20 +234,70 @@ def substitute_power(s: QSeries, r: int) -> GeneralLaurent:
     return GeneralLaurent(-r, Poly(tuple(nums), body.den), r * s.prec)
 
 
+def series_powers(t: GeneralLaurent, top: int) -> list[GeneralLaurent]:
+    """t^0..t^top, each by one product with t; t^j is certified through
+    prec(t) + (j - 1)*lead(t), as Horner's partial products are."""
+    powers = [GeneralLaurent.exact_scalar(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * t)
+    return powers
+
+
+def combine_powers(nums, den: int, powers) -> GeneralLaurent:
+    """sum nums[j]/den * powers[j] on the integer numerators, certified
+    through the least precision of a term with nums[j] != 0."""
+    terms = [(n, p) for n, p in zip(nums, powers) if n]
+    prec = min((p.prec for _, p in terms), default=EXACT)
+    live = [(n, p) for n, p in terms if p.body.nums]
+    if not live:
+        return GeneralLaurent(prec + 1, ZERO, prec)
+    lo = min(p.lead for _, p in live)
+    size = max(p.lead - lo + len(p.body.nums) for _, p in live)
+    if prec != EXACT:
+        size = min(size, prec - lo + 1)
+    common = lcm(*(p.body.den for _, p in live))
+    out = [0] * max(size, 0)
+    for n, p in live:
+        m = n * (common // p.body.den)
+        shift = p.lead - lo
+        for i, c in enumerate(p.body.nums[:max(size - shift, 0)], shift):
+            out[i] += m * c
+    return _series(lo, out, common * den, prec)
+
+
+def block_size(degree: int) -> int:
+    """Paterson-Stockmeyer block length for a degree (-inf for zero):
+    about its root."""
+    return max(1, isqrt(max(degree, 0) + 1))
+
+
+def eval_poly_on_powers(p: Poly, powers) -> GeneralLaurent:
+    """p(t) from powers = t^0..t^k, k >= 1 (Paterson & Stockmeyer, SIAM J.
+    Comput. 1973): blocks of k coefficients are combinations of t^0..t^(k-1)
+    and the blocks are joined by Horner in t^k, so the products are the
+    k - 1 of the table and one per block.  Value and certified precision
+    are Horner's in t: both are least over the terms c_j t^j, j >= 1."""
+    k = len(powers) - 1
+    acc = None
+    for start in reversed(range(0, len(p.nums), k)):
+        block = combine_powers(p.nums[start:start + k], p.den, powers)
+        acc = block if acc is None else acc * powers[k] + block
+    return ZERO_SERIES if acc is None else acc
+
+
 def eval_poly_at_series(p: Poly, t: GeneralLaurent) -> GeneralLaurent:
-    """Horner evaluation of a Poly at a series."""
-    acc = ZERO_SERIES
-    for n in reversed(p.nums):
-        acc = acc * t + GeneralLaurent(0, Poly.make((n,), p.den), EXACT)
-    return acc
+    """p evaluated at a series."""
+    return eval_poly_on_powers(p, series_powers(t, block_size(p.degree)))
 
 
 def eval_ratfun_at_series(f: RatFun, s) -> GeneralLaurent:
-    """f evaluated at a series (QSeries or GeneralLaurent)."""
+    """f evaluated at a series (QSeries or GeneralLaurent); num and den
+    share one table of powers."""
     t = s.to_laurent() if isinstance(s, QSeries) else s
     try:
-        return (eval_poly_at_series(f.num, t)
-                / eval_poly_at_series(f.den, t))
+        powers = series_powers(t, block_size(f.degree))
+        return (eval_poly_on_powers(f.num, powers)
+                / eval_poly_on_powers(f.den, powers))
     except EmptyPrecisionError as exc:
         raise PrecisionExhaustedError(str(exc)) from exc
 

@@ -319,3 +319,47 @@ def j_expansion(prec):
     quotient = mul(e4c, inv)
     assert quotient[0] == 1
     return quotient[1: prec + 2]
+
+
+# -- reference algorithms that fast paths of the library replace -------------
+
+def horner_eval(p, t):
+    """p(t) for a ``Poly`` p at a ``GeneralLaurent`` t by Horner's rule in
+    the library's series arithmetic: one product with t per degree, so
+    every partial value carries the precision the arithmetic certifies.
+    This was the library's evaluator before Paterson-Stockmeyer."""
+    from moondec.polynomials import Poly
+    from moondec.series import EXACT, ZERO_SERIES, GeneralLaurent
+    acc = ZERO_SERIES
+    for n in reversed(p.nums):
+        acc = acc * t + GeneralLaurent(0, Poly.make((n,), p.den), EXACT)
+    return acc
+
+
+def all_edges_chains(nodes, edges, src, dst, splits):
+    """Every simple path src -> dst along edges that do not split, sorted
+    as the library sorts them: the search before pruning, which asks
+    ``splits(edge)`` of every edge of the graph.  Edges have .src, .dst
+    and .power; nodes are names.  Unknown names raise KeyError."""
+    for name in (src, dst):
+        if name not in nodes:
+            raise KeyError(name)
+    if src == dst:
+        return [[]]
+    keep = [e for e in sorted(edges, key=lambda e: (e.src, e.dst, e.power))
+            if not splits(e)]
+    paths = []
+
+    def walk(node, trail, seen):
+        for e in keep:
+            if e.src != node:
+                continue
+            if e.dst == dst:
+                paths.append(trail + [e])
+            elif e.dst not in seen:
+                walk(e.dst, trail + [e], seen | {e.dst})
+
+    walk(src, [], {src})
+    paths.sort(key=lambda p: (-len(p),
+                              tuple((e.src, e.dst, e.power) for e in p)))
+    return paths

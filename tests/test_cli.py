@@ -434,3 +434,26 @@ def test_refine_survives_a_synthetic_id_too_long_for_int(
     graph_path.write_text("\n".join([json.dumps(node)] + lines) + "\n")
     names = _refine_names(capsys, tmp_path, graph_path)
     assert sorted(names) == sorted([huge, "1A", "9B", "X1"])
+
+
+def test_one_parser_per_process_prints_what_a_fresh_process_prints(
+        capsys, tmp_path, moonshine_catalog_path):
+    """The argparse parser is built once per process and reused: a usage
+    error, then a data error, then a valid chains call in this process
+    print the same bytes and exit codes as each in a fresh process."""
+    built, graph = tmp_path / "graph.jsonl", tmp_path / "refined.jsonl"
+    assert run_cli(capsys, "graph-build", "--catalog",
+                   str(moonshine_catalog_path), "--out", str(built))[0] == 0
+    assert run_cli(capsys, "graph-refine", "--in", str(built),
+                   "--out", str(graph))[0] == 0
+    calls = [["chains", "--in", str(graph), "--from", "1A"],
+             ["chains", "--in", str(graph), "--from", "1A", "--to", "2B"],
+             ["chains", "--in", str(graph), "--from", "1A", "--to", "9B"]]
+    seen = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "moondec.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert run_cli(capsys, *argv) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append(fresh.returncode)
+    assert seen == [1, 2, 0]

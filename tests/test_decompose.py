@@ -336,3 +336,27 @@ def test_unit_linking_recovers_fractional_units_over_fractional_inners():
                 break
         w = unit(a, b, c, d)
         assert unit_linking(h, compose(w, h)) == w
+
+
+def test_prime_degree_returns_before_normal_form_and_factor(monkeypatch):
+    """deg(g o h) = deg g * deg h with both at least 2, so a prime-degree
+    function has no decomposition: none is normalized or factored."""
+    from moondec import decompose as decompose_module
+
+    calls = []
+
+    def counted(name, real):
+        def wrapper(arg):
+            calls.append(name)
+            return real(arg)
+        return wrapper
+
+    for name in ("factor", "to_normal_form"):
+        monkeypatch.setattr(decompose_module, name,
+                            counted(name, getattr(decompose_module, name)))
+    for text in ["x^2+x", "(x^3+1)/(x-2)", "x^5+3*x", "(x^7+x)/(x^2+1)",
+                 "(2*x^13-x)/(x^3+5)", "(x+1)/(x^11-4)"]:
+        assert decompose_one_level(parse_ratfun(text)) == ()
+    assert calls == []
+    assert decompose_one_level(parse_ratfun("x^4+x^2"))  # degree 4 splits
+    assert "factor" in calls and "to_normal_form" in calls

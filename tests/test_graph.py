@@ -613,3 +613,136 @@ def test_jsonlines_round_trip(planted_four_catalog):
         blob = export_graph(g, "jsonlines")
         assert load_graph(blob) == g
         assert export_graph(load_graph(blob), "jsonlines") == blob
+
+
+def _seeded_graph(rng, size):
+    """Nodes N0..N(size-1) and random edges, self-loops, cycles and
+    parallel powers included; edge k carries x^4 + k*x^2 (it splits) or
+    x^3 + k*x (prime degree), so a decomposition names its edge."""
+    names = [f"N{i}" for i in range(size)]
+    series = QSeries.from_coeffs([0])
+    nodes = tuple(GraphNode(n, series, "catalog") for n in names)
+    edges = {}
+    for k in range(1, rng.randint(0, 3 * size) + 1):
+        src, dst, power = rng.choice(names), rng.choice(names), rng.randint(1, 2)
+        if (src, dst, power) in edges:
+            continue
+        split = rng.random() < 0.4
+        fun = parse_ratfun(f"x^4+{k}*x^2" if split else f"x^3+{k}*x")
+        edges[(src, dst, power)] = GraphEdge(src, dst, fun.degree, power, fun)
+    return names, RelationGraph(nodes, tuple(edges.values()))
+
+
+def _walk_names(start, edges, forward):
+    seen, todo = {start}, [start]
+    while todo:
+        node = todo.pop()
+        for e in edges:
+            a, b = (e.src, e.dst) if forward else (e.dst, e.src)
+            if a == node and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+def test_chains_pruning_matches_the_all_edges_search(monkeypatch):
+    """maximal_chains decomposes only edges on some src -> dst walk, and
+    finds every path that the search over all edges finds, on seeded
+    graphs with cycles, unreachable edges, edges out of dst and into src,
+    src == dst and unknown names."""
+    from moondec import graph as graph_module
+    from moondec.decompose import decompose_one_level
+    from oracles import all_edges_chains
+
+    decomposed = []
+
+    def counted(fun):
+        decomposed.append(fun)
+        return decompose_one_level(fun)
+
+    monkeypatch.setattr(graph_module, "decompose_one_level", counted)
+    splits = {}
+
+    def oracle_splits(e):
+        if e.fun not in splits:
+            splits[e.fun] = bool(decompose_one_level(e.fun))
+        return splits[e.fun]
+
+    rng = random.Random(2101)
+    pruned_some = False
+    for _ in range(60):
+        names, graph = _seeded_graph(rng, rng.randint(1, 7))
+        for src in names + ["nowhere"]:
+            for dst in names + ["nowhere"]:
+                decomposed.clear()
+                try:
+                    want = all_edges_chains(names, graph.edges, src, dst,
+                                            oracle_splits)
+                except KeyError:
+                    with pytest.raises(UnknownNodeError):
+                        maximal_chains(graph, src, dst)
+                    continue
+                assert maximal_chains(graph, src, dst) == want
+                reach = _walk_names(src, graph.edges, True)
+                back = _walk_names(dst, graph.edges, False)
+                on_walk = {e.fun for e in graph.edges
+                           if e.src in reach and e.dst in back}
+                assert set(decomposed) <= on_walk
+                pruned_some |= len(on_walk) < len(graph.edges)
+    assert pruned_some
+
+
+def test_eval_modular_polynomial_matches_per_coefficient_horner():
+    """One table of ys's powers gives each coefficient of P the value and
+    precision of its own Horner evaluation in ys."""
+    from moondec.series import ZERO_SERIES, GeneralLaurent
+    from oracles import horner_eval
+
+    rng = random.Random(2102)
+    for case in range(60):
+        coeffs = [Poly.from_coeffs([Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 3))
+                                    for _ in range(rng.randint(0, 9))])
+                  for _ in range(rng.randint(1, 6))]
+        p = PolyOverPoly.from_coeffs(coeffs)
+        xs, ys = (GeneralLaurent.make(
+            lead, [rng.choice([1, -2, 3])]
+            + [rng.randint(-4, 4) for _ in range(length)], lead + length)
+            for lead, length in ((rng.randint(-2, 1), rng.randint(0, 12)),
+                                 (rng.randint(-2, 1), rng.randint(0, 12))))
+        want = ZERO_SERIES
+        for c in reversed(p.coeffs):
+            want = want * xs + horner_eval(c, ys)
+        assert eval_modular_polynomial(p, xs, ys) == want
+
+
+@pytest.mark.parametrize("verb", [
+    ["graph-build", "--catalog", "{doc}", "--out", "{out}"],
+    ["relate", "--catalog", "{doc}", "--from", "1A", "--to", "9B"],
+    ["chains", "--in", "{doc}", "--from", "1A", "--to", "9B"],
+])
+def test_non_ascii_digits_in_a_rational_are_a_parse_error(
+        capsys, tmp_path, moonshine_catalog_path, verb):
+    """Catalog and graph rationals take ASCII digits only: int() and the
+    regex class \\d would both read the Arabic-Indic digit three as 3."""
+    if verb[0] == "chains":
+        doc = tmp_path / "graph.jsonl"
+        assert main(["graph-build", "--catalog", str(moonshine_catalog_path),
+                     "--out", str(doc)]) == 0
+    else:
+        doc = moonshine_catalog_path
+    lines = doc.read_text(encoding="utf-8").splitlines()
+    lineno = max(i for i, line in enumerate(lines, 1)
+                 if '"coeffs"' in line)
+    rec = json.loads(lines[lineno - 1])
+    rec["coeffs"][3] = "٣"
+    lines[lineno - 1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [a.format(doc=bad, out=tmp_path / "out.jsonl") for a in verb]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: parse-error: line {lineno}: not a rational literal: ")

@@ -116,3 +116,55 @@ def test_nullspace_vectors_annihilate():
         echelon, pivots = _kernels.row_echelon(
             [clear_denominators(r)[0] for r in rows])
         assert len(basis) == n - len(pivots)
+
+
+def test_kronecker_substitution_matches_naive_on_both_sides_of_the_crossover(
+        monkeypatch):
+    """poly_mul against oracles.naive_mul below and above
+    KRONECKER_PRODUCTS, with negative entries, runs of zeros, sparse
+    operands, truncation and 5,000-bit entries; kronecker_mul is checked
+    directly too, and the switch is taken exactly above the crossover."""
+    taken = []
+    kronecker = _kernels.kronecker_mul
+
+    def counted(a, b, n):
+        taken.append(n)
+        return kronecker(a, b, n)
+
+    monkeypatch.setattr(_kernels, "kronecker_mul", counted)
+    rng = random.Random(2106)
+    crossover = _kernels.KRONECKER_PRODUCTS
+    sides = set()
+    for case in range(80):
+        bits = rng.choice([1, 8, 64, 300, 5000])
+        top = 40 if bits == 5000 else 120
+        na, nb = rng.randint(1, top), rng.randint(1, top)
+        step = rng.choice([1, 1, 2, 5])  # s(q^r) is nonzero at every r-th
+
+        def entry(i):
+            if i % step or rng.random() < 0.15:
+                return 0
+            return rng.randint(-(1 << bits), 1 << bits)
+
+        a = [entry(i) for i in range(na)]
+        b = [rng.randint(-(1 << bits), 1 << bits) for _ in range(nb)]
+        if rng.random() < 0.2:
+            run = rng.randint(0, na)
+            stop = min(na, run + rng.randint(1, 30))
+            a[run:stop] = [0] * (stop - run)
+        full = [int(c) for c in naive_mul(a, b)]
+        full += [0] * (na + nb - 1 - len(full))
+        trunc = rng.choice([0, 0, rng.randint(1, na + nb + 5)])
+        n = min(trunc, na + nb - 1) if trunc else na + nb - 1
+        taken.clear()
+        assert _kernels.poly_mul(a, b, 0, trunc) == full[:n]
+        sa, sb = a[:n], b[:n]
+        work = min((len(x) - x.count(0)) * len(y) for x, y in
+                   ((sa, sb), (sb, sa)))
+        assert bool(taken) == (work > crossover), (work, taken)
+        sides.add(bool(taken))
+        assert kronecker(a, b, n) == full[:n]
+        assert kronecker(b, a, n) == full[:n]
+    assert sides == {False, True}
+    assert kronecker([0, 0], [0, 5, 0], 4) == [0, 0, 0, 0]
+    assert kronecker([-1], [-1], 1) == [1]

@@ -113,3 +113,61 @@ def test_power_cap_bits_read_the_coefficients_in_lowest_terms():
         cases.append(RatFun.make(num, den))
     for f in cases:
         assert parsing._bits(f) == fraction_bits(f)
+
+
+def _printed(rng):
+    """A seeded function in its printed form: integer and fractional
+    coefficients up to 60 digits, zero terms, constant and polynomial
+    cases."""
+    def poly(top):
+        return Poly.from_coeffs(
+            [Fraction(rng.choice([0, rng.randint(-9, 9),
+                                  rng.randint(-10 ** 60, 10 ** 60)]),
+                      rng.choice([1, 1, rng.randint(1, 10 ** 6)]))
+             for _ in range(rng.randint(0, top))] + [rng.randint(1, 99)])
+    num, den = poly(12), poly(rng.choice([0, 0, 6]))
+    return ratfun_text(RatFun.make(num, den))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_printed_text_is_read_without_the_descent_parser(monkeypatch):
+    """Printed functions take the fast path, and it reads each to the
+    value the recursive-descent parser gives."""
+    rng = random.Random(2103)
+    texts = [_printed(rng) for _ in range(300)]
+    want = [parsing._parse_descent(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError(f"descent parser called on {text!r}")
+
+    monkeypatch.setattr(parsing, "_parse_descent", refuse)
+    assert [parse_ratfun(text) for text in texts] == want
+    assert any("/" in text and "(" not in text for text in texts)
+
+
+def test_fast_path_falls_through_on_malformed_printed_text():
+    """Variants the fast path must not accept by itself give the same
+    RatFun, or the same error class, message and position, as the
+    recursive-descent parser."""
+    rng = random.Random(2104)
+    long = "7" * 5000
+    variants = ["x^2 + 1", " x", "x^0", "3*x^0-1", "x^513", "(x)/(x^513)",
+                "x^512", f"{long}*x+1", f"x-{long}", f"(x)/({long})",
+                f"1/{long}*x", "1/0", "x-1/0*x^2", "(x)/(0)", "(x)/(x-x)",
+                "٣*x", "x^٣", "x+٣", "+x", "+3*x^2-1", "(+x)/(x+1)", "x+-1",
+                "x^2^3", "3^2", "2*3*x", "x*x", "(x+1)", "(x)/(x)/(x)",
+                "((x))/(x)", "()/()", "", "x^", "1/", "/2", "-", "x--1"]
+    for _ in range(150):
+        text = _printed(rng)
+        i = rng.randrange(len(text) + 1)
+        variants += [text[:i] + rng.choice([" ", "+", "٣", "^0", "(", ")"])
+                     + text[i:], "+" + text, text.replace("^", "^0", 1)]
+    for text in variants:
+        assert _outcome(parse_ratfun, text) == \
+            _outcome(parsing._parse_descent, text), text

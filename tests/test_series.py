@@ -528,3 +528,50 @@ def test_equal_values_from_different_spellings_are_equal():
         assert QSeries.from_laurent(q.to_laurent()) == q
         assert QSeries.from_laurent(q.to_laurent()).coeffs == tuple(cs)
         assert hash(QSeries.from_coeffs(list(cs))) == hash(q)
+
+
+def test_paterson_stockmeyer_matches_horner_in_value_and_precision():
+    """eval_poly_at_series against Horner's rule (tests/oracles.py) over
+    leads -3..3, exact, finite and zero-to-prec series, and degrees 0..40
+    with runs of zero coefficients; dataclass equality compares the
+    certified precision too.  eval_ratfun_at_series shares one table of
+    powers between num and den and must give Horner's num / Horner's den."""
+    from moondec.errors import EmptyPrecisionError, PrecisionExhaustedError
+    from oracles import horner_eval
+
+    rng = random.Random(2105)
+    for lead in range(-3, 4):
+        for kind in ("exact", "finite", "zero"):
+            for degree in range(41):
+                length = rng.randint(0, 8)
+                body = [rng.choice([1, -1, 2, Fraction(-3, 2)])] + \
+                    [rng.choice([0, 0, rng.randint(-5, 5)])
+                     for _ in range(length)]
+                if kind == "exact":
+                    t = GeneralLaurent.make(lead, body, EXACT)
+                elif kind == "finite":
+                    t = GeneralLaurent.make(lead, body, lead + length)
+                else:
+                    t = GeneralLaurent.make(lead, [0] * (length + 1),
+                                            lead + length)
+                coeffs = [rng.choice([0, 0, rng.randint(-9, 9),
+                                      Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 9))])
+                          for _ in range(degree)]
+                p = Poly.from_coeffs(coeffs + [rng.choice([1, -4, 7])])
+                assert eval_poly_at_series(p, t) == horner_eval(p, t)
+                q = Poly.from_coeffs([rng.randint(-3, 3) for _ in
+                                      range(rng.randint(0, degree + 1))]
+                                     + [1])
+                try:
+                    want = horner_eval(p, t) / horner_eval(q, t)
+                except EmptyPrecisionError:
+                    want = PrecisionExhaustedError
+                except (SeriesZeroDivisionError, ValueError) as exc:
+                    want = type(exc)
+                try:
+                    got = eval_ratfun_at_series(RatFun(p, q), t)
+                except (PrecisionExhaustedError, SeriesZeroDivisionError,
+                        ValueError) as exc:
+                    got = type(exc)
+                assert got == want
