@@ -6,7 +6,8 @@ The first two loops dominate the runtime of everything in this package
 linear solve runs through the Bareiss echelon form).  The ``pm_`` functions
 work on integer coefficient lists modulo a prime ``p`` (ascending, highest
 entry nonzero, the empty list zero); factorization splits with them, and
-``poly_gcd`` certifies coprimality with them.
+``poly_gcd`` certifies coprimality with them.  ``pm_rank`` is the rank of
+a matrix modulo ``p``, a lower bound of its rank over the rationals.
 """
 
 BACKEND = "python"  # the only backend; benchmark runs record it
@@ -120,6 +121,30 @@ def pm_gcd(a, b, p):
     while b:
         a, b = b, pm_divrem(a, b, p)[1]
     return pm_monic(a, p) if a else a
+
+
+def pm_rank(rows, p):
+    """Rank modulo ``p`` of an integer matrix given as rows of equal
+    length."""
+    work = [[v % p for v in row] for row in rows]
+    m = len(work)
+    n = len(work[0]) if work else 0
+    rank = 0
+    for c in range(n):
+        pr = next((i for i in range(rank, m) if work[i][c]), -1)
+        if pr < 0:
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        top = work[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, m):
+            row = work[i]
+            f = row[c] * inv % p
+            if f:
+                for j in range(c + 1, n):
+                    row[j] = (row[j] - f * top[j]) % p
+        rank += 1
+    return rank
 
 
 def row_echelon(rows):

@@ -43,11 +43,17 @@ def _null_vector(echelon, pivots, free_col, ncols):
     return vec
 
 
-def inconsistent(aug_rows, nvars):
+# 2^61 - 1: a rank modulo this prime bounds a rank over Q from below
+RANK_PRIME = (1 << 61) - 1
+
+
+def proves_inconsistent(aug_rows, nvars):
     """True when the augmented integer system ``[A | b]`` with ``nvars``
-    unknowns has no solution: its right-hand-side column is a pivot of the
-    echelon form, so rank [A | b] > rank A."""
-    return nvars in _kernels.row_echelon(aug_rows)[1]
+    unknowns has rank nvars + 1 modulo RANK_PRIME, which proves it has no
+    solution: a minor that is nonzero modulo the prime is a nonzero
+    integer, so [A | b] has full column rank over Q too, while rank A <=
+    nvars.  False proves nothing: the rank may drop modulo the prime."""
+    return _kernels.pm_rank(aug_rows, RANK_PRIME) == nvars + 1
 
 
 def solve_unique(aug_rows, nvars):

@@ -13,8 +13,9 @@ coefficient of sum_j b_j R_j from q^1; the system must be overdetermined
 (at least one more equation than unknowns) so that a solution on truncated
 data actually means something; a solution needs no evaluation of f(s2)
 (see _try_r).  The r-loop returns the first success (lowest r).  P_j and
-R_j come from cancelling the principal part of the product with powers of
-s2, one integer row subtraction per term, on the product's numerators.
+R_0 comes from cancelling the principal part of s1(q^r) with powers of
+s2, one integer row subtraction per term, and R_j = s2*R_(j-1) - rho from
+one product with s2 (see _build_system).
 
 Most systems are inconsistent, and the scan rejects those on a leading
 block before it builds them in full.  The block is the same system built
@@ -22,8 +23,10 @@ from both series truncated to q^(2e+1), the precision the scan requires:
 its e + 2 rows are rows q^1..q^(e+2) of the full system, each scaled by
 one positive constant.  A row subset of [A | b] of rank (e - r) + 1 means
 rank [A | b] > rank A, so the full system is inconsistent too and that r
-has no relation.  Every other r is solved on the full series, so the
-block changes no result: a consistent system has only consistent blocks.
+has no relation; the block's rank is taken modulo a prime, a lower bound
+of its rank over Q, so that no exact elimination is spent on it.  Every
+other r is solved on the full series, so the block changes no result: a
+consistent system has only consistent blocks.
 When the full system has no rows beyond the block (series certified just
 through q^(2e+1)), the block is solved as the full system instead.
 
@@ -111,47 +114,55 @@ def _series_powers(s: QSeries, top: int,
 def _build_system(s1: QSeries, e: int, r: int,
                   powers: list[GeneralLaurent]):
     """Equations for one r, and P_0..P_(e-r): each product s1(q^r)*s2^j is
-    P_j(s2) + R_j with R_j = O(q), its terms at or below q^0 cancelled by
-    the powers s2^0..s2^e of the monic s2.  Columns b_0..b_(e-r-1); row k is
-    the coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0.
+    P_j(s2) + R_j with R_j = O(q).  ``powers`` holds s2^0..s2^r at least.  Columns b_0..b_(e-r-1); row k is the
+    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0.
 
-    The cancellation runs on integer numerators over one common
-    denominator: the product's, times that of s2^0..s2^e at each step, so
-    each step is one scaled integer row subtraction.  Bodies drop trailing
-    zeros, so every row is padded to the coefficients it must hold."""
+    R_0 = s1(q^r) - P_0(s2) cancels the principal part of s1(q^r) with the
+    powers s2^0..s2^r of the monic s2, one scaled integer row subtraction
+    per term, on integer numerators over one common denominator.  Then
+    s2*R_(j-1) = rho + O(q), rho its coefficient of q^1 in R_(j-1), since
+    s2 = 1/q + O(1); so R_j = s2*R_(j-1) - rho and P_j = x*P_(j-1) + rho,
+    one product with s2 per j.  Each product certifies one row less, so
+    R_0 is taken through q^(bound + e - r): s2^m for m <= r is certified
+    that far because bound <= prec(s2^e) = prec(s2) - e + 1.  Bodies drop
+    trailing zeros, so every row is padded to the coefficients it must
+    hold."""
     sub = substitute_power(s1, r)
-    # R_(e-r) is the least certified rest: the product s1(q^r)*s2^(e-r) is
-    # certified through the first two terms, and it is reduced with s2^e,
-    # the least certified power (powers of s2 lose precision as they grow)
-    bound = min(sub.prec - (e - r), powers[e - r].prec - r, powers[e].prec)
+    # R_(e-r) is the least certified rest: s2^m is certified through
+    # prec(s2) - m + 1, so the product s1(q^r)*s2^(e-r) is certified through
+    # min(prec(s1(q^r)) - (e - r), prec(s2) - e + 1), as s2^e is
+    bound = min(sub.prec - (e - r), powers[1].prec - e + 1)
     if bound < e - r + 1:
         raise InsufficientPrecisionError(
             f"only {bound} certified equations for {e - r} unknowns at r={r}")
-    den = lcm(*(p.body.den for p in powers[:e + 1]))
-    # table[m]: s2^m from q^-m through q^bound, times den; it leads with den
+    rows = bound + e - r  # of R_0, from q^1
+    den = lcm(*(p.body.den for p in powers[:r + 1]))
+    # table[m]: s2^m from q^-m through q^rows, times den; it leads with den
     table = [_padded([n * (den // p.body.den) for n in p.body.nums],
-                     bound + m + 1) for m, p in enumerate(powers[:e + 1])]
-    polys, cols = [], []
-    for j in range(e - r + 1):
-        top = r + j  # s1(q^r)*s2^j leads with 1 at q^-top
-        nums, pden = mul_fraction_seqs(
-            (sub.body.nums, sub.body.den),
-            (powers[j].body.nums, powers[j].body.den), bound + top + 1)
-        nums = _padded(nums, bound + top + 1)
-        coeffs = [0] * (top + 1)
-        for m in range(top, -1, -1):
-            c = nums[top - m]
-            if not c:
-                continue
-            if den != 1:
-                nums = [den * v for v in nums]
-                coeffs = [den * v for v in coeffs]
-                pden *= den
-            coeffs[m] = nums[top - m]
-            nums[top - m:] = [a - c * b
-                              for a, b in zip(nums[top - m:], table[m])]
+                     rows + m + 1) for m, p in enumerate(powers[:r + 1])]
+    nums, pden = _padded(sub.body.nums, rows + r + 1), sub.body.den
+    coeffs = [0] * (r + 1)
+    for m in range(r, -1, -1):
+        c = nums[r - m]
+        if not c:
+            continue
+        if den != 1:
+            nums = [den * v for v in nums]
+            coeffs = [den * v for v in coeffs]
+            pden *= den
+        coeffs[m] = nums[r - m]
+        nums[r - m:] = [a - c * b for a, b in zip(nums[r - m:], table[m])]
+    rest = nums[r + 1:]
+    s2 = powers[1].body
+    polys = [Poly.make(coeffs, pden)]
+    cols = [Poly.make(rest[:bound], pden)]
+    for _ in range(e - r):
+        prod, pden = mul_fraction_seqs((rest, pden), (s2.nums, s2.den),
+                                       len(rest))
+        coeffs = [prod[0]] + [s2.den * c for c in coeffs]
+        rest = prod[1:]
         polys.append(Poly.make(coeffs, pden))
-        cols.append(Poly.make(nums[top + 1:], pden))
+        cols.append(Poly.make(rest[:bound], pden))
     cols[-1] = -cols[-1]
     rows = linalg.integer_rows(cols, bound)
     return LinearSystem(tuple(row[:-1] for row in rows),
@@ -219,21 +230,23 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
             f"series must be certified through q^{need} "
             f"(have {s1.prec} and {s2.prec})")
     head1, head2 = s1.truncate(need), s2.truncate(need)
-    head_powers = _series_powers(head2, e)
+    head_powers = _series_powers(head2, 1)
     for r in range(1, e + 1):
         if r in done:
             continue
-        block, polys = _build_system(head1, e, r, head_powers)
+        block, polys = _build_system(head1, e, r,
+                                     _series_powers(head2, r, head_powers))
         try:
             # the block's e + 2 rows are all the full system has when the
             # series are certified that far only: solve it as it stands
             if min(r * s1.prec - (e - r), s2.prec - e + 1) == e + 2:
                 rel = _solved(s1, s2, e, r, block, polys)
-            elif linalg.inconsistent([(*row, b) for row, b in
-                                      zip(block.matrix, block.rhs)], e - r):
+            elif linalg.proves_inconsistent(
+                    [(*row, b) for row, b in zip(block.matrix, block.rhs)],
+                    e - r):
                 continue
             else:
-                powers = _series_powers(s2, e, powers)
+                powers = _series_powers(s2, r, powers)
                 rel = _try_r(s1, s2, e, r, powers)
         except UnderdeterminedSystemError:
             if not skip_underdetermined:
