@@ -43,8 +43,11 @@ def _null_vector(echelon, pivots, free_col, ncols):
     return vec
 
 
-# 2^61 - 1: a rank modulo this prime bounds a rank over Q from below
-RANK_PRIME = (1 << 61) - 1
+# A rank modulo a prime bounds the rank over Q from below.  The largest
+# prime below 2^15 keeps residues and their products below 2^30, so the
+# elimination runs on CPython's one-digit integers; a rank that drops
+# modulo it only costs an exact solve (see proves_inconsistent).
+RANK_PRIME = 32749
 
 
 def proves_inconsistent(aug_rows, nvars):

@@ -122,3 +122,43 @@ def test_nullspace_gives_integer_vectors_proportional_to_sympys():
             assert all(type(v) is int for v in vec), vec
             assert sp.Matrix.hstack(sp.Matrix(vec), ref).rank() == 1, rows
     assert free_between_pivots >= 20, free_between_pivots
+
+
+def test_rank_modulo_a_prime_matches_sympy_and_proves_only_inconsistency():
+    """_kernels.pm_rank equals sympy's rank over GF(p), for a small prime
+    that drops ranks often and for RANK_PRIME; proves_inconsistent holds
+    only for systems sympy finds inconsistent, and for every seeded one
+    whose rank survives the prime."""
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    from moondec import _kernels
+    from moondec.linalg import RANK_PRIME, proves_inconsistent
+
+    def sympy_rank(rows, p):
+        ncols = len(rows[0])
+        return DomainMatrix([[ZZ(v) for v in row] for row in rows],
+                            (len(rows), ncols), ZZ).convert_to(GF(p)).rank()
+
+    kinds = ["unique", "late inconsistent", "leading inconsistent",
+             "rank-deficient lead", "underdetermined"]
+    rng = random.Random(2107)
+    dropped = proved = 0
+    for i in range(120):
+        rows, nvars = _system(rng, kinds[i % len(kinds)])
+        if rng.random() < 0.3:  # a column that vanishes modulo the prime
+            col = rng.randrange(nvars + 1)
+            rows = [row[:col] + [RANK_PRIME * rng.randint(-2, 2)]
+                    + row[col + 1:] for row in rows]
+        for p in (7, RANK_PRIME):
+            assert _kernels.pm_rank(rows, p) == sympy_rank(rows, p), rows
+        kind, _ = _oracle(rows, nvars)
+        inconsistent = kind.endswith("inconsistent")
+        full = sympy_rank(rows, RANK_PRIME) == nvars + 1
+        assert proves_inconsistent(rows, nvars) == full
+        if full:
+            assert inconsistent, rows
+            proved += 1
+        elif inconsistent:
+            dropped += 1
+    assert proved >= 25 and dropped >= 5, (proved, dropped)
