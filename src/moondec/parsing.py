@@ -99,6 +99,7 @@ def _printed_poly(text: str) -> Poly | None:
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
+        # printed text has no leading '+' and a sign between any two terms
         if m is None or (m[1] == "+" if pos == 0 else not m[1]):
             return None
         sign, p, q, times_x, bare_x, k = m.groups()

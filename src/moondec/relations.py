@@ -55,6 +55,7 @@ from moondec.series import (
     GeneralLaurent,
     QSeries,
     eval_ratfun_at_series,
+    series_powers,
     substitute_power,
 )
 
@@ -103,19 +104,15 @@ def _series_powers(s: QSeries, top: int,
     """s^0..s^top: ``powers``, a table of s's powers from s^0, grown in
     place when it is given, else a new table.  A longer table serves too:
     the relation builders index it, and s^j does not depend on top."""
-    if powers is None:
-        powers = [GeneralLaurent.exact_scalar(1)]
-    t = s.to_laurent()
-    while len(powers) <= top:
-        powers.append(powers[-1] * t)
-    return powers
+    return series_powers(s.to_laurent(), top, powers)
 
 
 def _build_system(s1: QSeries, e: int, r: int,
                   powers: list[GeneralLaurent]):
     """Equations for one r, and P_0..P_(e-r): each product s1(q^r)*s2^j is
-    P_j(s2) + R_j with R_j = O(q).  ``powers`` holds s2^0..s2^r at least.  Columns b_0..b_(e-r-1); row k is the
-    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0.
+    P_j(s2) + R_j with R_j = O(q).  Columns b_0..b_(e-r-1); row k is the
+    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0.  ``powers`` is a
+    table of s2's powers through s2^r at least.
 
     R_0 = s1(q^r) - P_0(s2) cancels the principal part of s1(q^r) with the
     powers s2^0..s2^r of the monic s2, one scaled integer row subtraction
@@ -135,12 +132,12 @@ def _build_system(s1: QSeries, e: int, r: int,
     if bound < e - r + 1:
         raise InsufficientPrecisionError(
             f"only {bound} certified equations for {e - r} unknowns at r={r}")
-    rows = bound + e - r  # of R_0, from q^1
+    length = bound + e - r  # of R_0, from q^1
     den = lcm(*(p.body.den for p in powers[:r + 1]))
-    # table[m]: s2^m from q^-m through q^rows, times den; it leads with den
+    # table[m]: s2^m from q^-m through q^length, times den; it leads with den
     table = [_padded([n * (den // p.body.den) for n in p.body.nums],
-                     rows + m + 1) for m, p in enumerate(powers[:r + 1])]
-    nums, pden = _padded(sub.body.nums, rows + r + 1), sub.body.den
+                     length + m + 1) for m, p in enumerate(powers[:r + 1])]
+    nums, pden = _padded(sub.body.nums, length + r + 1), sub.body.den
     coeffs = [0] * (r + 1)
     for m in range(r, -1, -1):
         c = nums[r - m]

@@ -27,6 +27,8 @@ min(prec_a - lead_b, prec_b - 2*lead_b + lead_a).
 
 Division and ``inner_series_solve`` are Newton iterations on kernel
 products (Brent & Kung, JACM 1978): each step doubles the exact length.
+A polynomial is evaluated at a series by Paterson & Stockmeyer (SIAM J.
+Comput. 1973): about 2*sqrt(d) products instead of Horner's d.
 """
 
 from __future__ import annotations
@@ -234,11 +236,16 @@ def substitute_power(s: QSeries, r: int) -> GeneralLaurent:
     return GeneralLaurent(-r, Poly(tuple(nums), body.den), r * s.prec)
 
 
-def series_powers(t: GeneralLaurent, top: int) -> list[GeneralLaurent]:
-    """t^0..t^top, each by one product with t; t^j is certified through
-    prec(t) + (j - 1)*lead(t), as Horner's partial products are."""
-    powers = [GeneralLaurent.exact_scalar(1)]
-    for _ in range(top):
+def series_powers(t: GeneralLaurent, top: int,
+                  powers: list[GeneralLaurent] | None = None
+                  ) -> list[GeneralLaurent]:
+    """t^0..t^top, each by one product with t, so that t^j is certified
+    through prec(t) + (j - 1)*lead(t), as Horner's partial products are;
+    ``powers``, a table of t's powers from t^0, is grown in place when it
+    is given."""
+    if powers is None:
+        powers = [GeneralLaurent.exact_scalar(1)]
+    while len(powers) <= top:
         powers.append(powers[-1] * t)
     return powers
 
@@ -266,8 +273,8 @@ def combine_powers(nums, den: int, powers) -> GeneralLaurent:
 
 
 def block_size(degree: int) -> int:
-    """Paterson-Stockmeyer block length for a degree (-inf for zero):
-    about its root."""
+    """The Paterson-Stockmeyer block length for a polynomial degree (-inf
+    for zero): about its square root."""
     return max(1, isqrt(max(degree, 0) + 1))
 
 
@@ -275,8 +282,9 @@ def eval_poly_on_powers(p: Poly, powers) -> GeneralLaurent:
     """p(t) from powers = t^0..t^k, k >= 1 (Paterson & Stockmeyer, SIAM J.
     Comput. 1973): blocks of k coefficients are combinations of t^0..t^(k-1)
     and the blocks are joined by Horner in t^k, so the products are the
-    k - 1 of the table and one per block.  Value and certified precision
-    are Horner's in t: both are least over the terms c_j t^j, j >= 1."""
+    k - 1 of the table and one per further block.  Value and certified
+    precision are those of Horner's rule in t: the precision is the least
+    over the terms c_j t^j, j >= 1, in both."""
     k = len(powers) - 1
     acc = None
     for start in reversed(range(0, len(p.nums), k)):

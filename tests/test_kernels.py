@@ -166,5 +166,15 @@ def test_kronecker_substitution_matches_naive_on_both_sides_of_the_crossover(
         assert kronecker(a, b, n) == full[:n]
         assert kronecker(b, a, n) == full[:n]
     assert sides == {False, True}
+    # the loop runs over the sparser list, whichever argument it is
+    sparse = [0] * 100
+    sparse[::25] = [3, -1, 4, 1]
+    dense = [rng.randint(1, 9) for _ in range(60)]
+    want = [int(c) for c in naive_mul(sparse, dense)]
+    want += [0] * (len(sparse) + len(dense) - 1 - len(want))
+    for x, y in ((sparse, dense), (dense, sparse)):
+        taken.clear()
+        assert _kernels.poly_mul(x, y) == want
+        assert taken == []
     assert kronecker([0, 0], [0, 5, 0], 4) == [0, 0, 0, 0]
     assert kronecker([-1], [-1], 1) == [1]
