@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from moondec import linalg
 from moondec.errors import (
@@ -31,7 +31,7 @@ from moondec.errors import (
     NotNormalFormError,
     VerificationFailureError,
 )
-from moondec.factorization import Factorization, factor
+from moondec.factorization import Factorization, factor, is_prime
 from moondec.polynomials import ONE, Poly
 from moondec.ratfun import (
     RatFun,
@@ -191,10 +191,6 @@ def equivalent(d1: Decomposition, d2: Decomposition) -> bool:
     return unit_linking(d1.inner, d2.inner) is not None
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
-
-
 def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     """One representative per equivalence class of decompositions of f.
 
@@ -204,7 +200,7 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     """
     if f.degree < 2:
         raise InvalidInputError("decomposition needs degree >= 2")
-    if _is_prime(f.degree):
+    if is_prime(f.degree):
         return ()  # deg(g o h) = deg g * deg h, both at least 2
     u, v, fbar = to_normal_form(f)
     u_inv = unit_inverse(u)

@@ -262,7 +262,7 @@ def _recombine(f, lifted, target):
     return result
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     for d in range(2, isqrt(n) + 1):
@@ -275,7 +275,7 @@ def _choose_prime(f_int):
     """Smallest prime >= 3 not dividing lc(f_int) that keeps f_int squarefree."""
     p = 3
     while True:
-        if _is_prime(p):
+        if is_prime(p):
             fp = pm_trim([c % p for c in f_int])
             if len(fp) == len(f_int):
                 d = _pm_deriv(fp, p)
