@@ -2,17 +2,19 @@
 
 Pipeline: clear to integers, squarefree-decompose (Yun), take the primitive
 integer polynomial f of each squarefree part, reduce modulo the smallest
-prime >= 3 that keeps f squarefree and of full degree, split with
-Berlekamp's algorithm, and Hensel-lift the factors of the monic f/lc(f) to
-the first power of p above 2*B, where B = |lc(f)| * C(n, n//2) * ||f||_2
-bounds every coefficient of lc(f)/lc(u) * u for an integer factor u of f.
+prime >= 3 that keeps f squarefree and of full degree, split by
+distinct-degree factorization and Cantor-Zassenhaus equal-degree splitting,
+and Hensel-lift the factors of the monic f/lc(f) to the first power of p
+above 2*B, where B = |lc(f)| * C(n, n//2) * ||f||_2 bounds every
+coefficient of lc(f)/lc(u) * u for an integer factor u of f.
 Recombination is Zassenhaus subset search with the leading coefficient
 (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15): a subset's
 product times lc of the remaining cofactor, in the symmetric range mod p^l,
 is tried as a factor through its primitive part, and accepted when it
 divides the remaining cofactor over Q (the quotient of a primitive divisor
 lies in Z[x] by Gauss's lemma).  Everything is deterministic: prime choice,
-Berlekamp splitting order, subset enumeration and the final factor ordering.
+the seeded trial elements of the equal-degree split, subset enumeration and
+the final factor ordering.
 
 Degrees in this problem domain reach the seventies, which is far beyond
 naive coefficient search but comfortable for Zassenhaus recombination (the
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
+from random import Random
 
 from moondec import _kernels
 from moondec._kernels import pm_divrem, pm_gcd, pm_monic, pm_trim
@@ -87,78 +90,47 @@ def _pm_powmod(base, e, mod, p):
     return result
 
 
-def _gf_nullspace(matrix, p):
-    """Null space basis of a square matrix over GF(p)."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        vec = [0] * n
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-m[pr][c]) % p
-        basis.append(vec)
-    return basis
+def _equal_degree_split(g, d, p):
+    """The monic irreducible factors, all of degree d, of a monic squarefree
+    g mod an odd prime p (Cantor & Zassenhaus, Math. Comp. 1981).
+
+    For a random a, a^e with e = (p^d - 1)/2 is 1 or -1 (or 0) modulo each
+    factor, so gcd(g, a^e - 1) splits g for about half of all a or more.  The
+    trial elements come from a generator seeded by deg g, so the split is
+    deterministic; a structured sequence such as x^k + c can cycle modulo
+    each factor and never split."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    rng = Random(n)
+    e = (p ** d - 1) // 2
+    while True:
+        a = pm_trim([rng.randrange(p) for _ in range(n)])
+        u = pm_gcd(g, _pm_sub(_pm_powmod(a, e, g, p), [1], p), p)
+        if 0 < len(u) - 1 < n:
+            return (_equal_degree_split(u, d, p)
+                    + _equal_degree_split(pm_divrem(g, u, p)[0], d, p))
 
 
-def _berlekamp(f, p):
-    """All monic irreducible factors of a monic squarefree f mod p."""
-    n = len(f) - 1
-    if n == 1:
-        return [list(f)]
-    xp = _pm_powmod([0, 1], p, f, p)
-    rows = []
-    power = [1]
-    for _ in range(n):
-        rows.append([power[j] if j < len(power) else 0 for j in range(n)])
-        power = pm_divrem(_pm_mul(power, xp, p), f, p)[1]
-    # v with v(x)^p = v(x) mod f  <=>  v * (Q - I) = 0; work on the transpose.
-    mt = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)]
-          for i in range(n)]
-    basis = _gf_nullspace(mt, p)
-    r = len(basis)
-    factors = [list(f)]
-    if r == 1:
-        return factors
-    for vec in basis:
-        b = pm_trim(list(vec))
-        if len(b) <= 1:
-            continue
-        i = 0
-        while i < len(factors):
-            u = factors[i]
-            if len(u) - 1 <= 1 or len(factors) == r:
-                i += 1
-                continue
-            for c in range(p):
-                shifted = list(b)
-                shifted[0] = (shifted[0] - c) % p
-                g = pm_gcd(u, pm_trim(shifted), p)
-                if 0 < len(g) - 1 < len(u) - 1:
-                    factors[i] = g
-                    factors.append(pm_divrem(u, g, p)[0])
-                    break
-            else:
-                i += 1
-        if len(factors) == r:
-            break
+def _split_mod_p(f, p):
+    """All monic irreducible factors of a monic squarefree f mod an odd
+    prime p, sorted.
+
+    Distinct-degree factorization: with h = x^(p^d) mod f, gcd(f, h - x) is
+    the product of the factors of degree d once those of lower degree are
+    divided out; the last cofactor is irreducible when 2d > its degree."""
+    factors = []
+    h = [0, 1]
+    d = 1
+    while 2 * d <= len(f) - 1:
+        h = _pm_powmod(h, p, f, p)
+        g = pm_gcd(f, _pm_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            factors += _equal_degree_split(g, d, p)
+            f = pm_divrem(f, g, p)[0]
+        d += 1
+    if len(f) > 1:
+        factors.append(f)
     return sorted(factors, key=lambda g: (len(g), g))
 
 
@@ -185,7 +157,8 @@ def _mod_reduce(a, m):
 def _hensel_pair(f, g, h, s, t, p, target):
     """Lift f = g*h from mod p to mod target, a power of p (h, g monic).
 
-    Each quadratic step goes from m to min(m^2, target), never past it."""
+    Each quadratic step goes from m to min(m^2, target), never past it; the
+    last step lifts only g and h, since nothing reads s and t after it."""
     m = p
     while m < target:
         m2 = min(m * m, target)
@@ -195,6 +168,8 @@ def _hensel_pair(f, g, h, s, t, p, target):
         g = _pm_add(_pm_add(g, _kernels.poly_mul(t, e, m2), m2),
                     _kernels.poly_mul(q, g, m2), m2)
         h = _pm_add(h, r, m2)
+        if m2 == target:
+            break
         b = _pm_sub(_pm_add(_kernels.poly_mul(s, g, m2),
                             _kernels.poly_mul(t, h, m2), m2), [1], m2)
         c, d = pm_divrem(_kernels.poly_mul(s, b, m2), h, m2)
@@ -272,7 +247,10 @@ def is_prime(n):
 
 
 def _choose_prime(f_int):
-    """Smallest prime >= 3 not dividing lc(f_int) that keeps f_int squarefree."""
+    """Smallest prime >= 3 not dividing lc(f_int) that keeps f_int squarefree.
+
+    The prime must be odd: the equal-degree split takes (p^d - 1)/2-th
+    powers."""
     p = 3
     while True:
         if is_prime(p):
@@ -291,7 +269,7 @@ def _factor_squarefree(g: Poly) -> list[Poly]:
     f = _int_primitive(list(g.nums))
     lead, n = f[-1], len(f) - 1
     p = _choose_prime(f)
-    mod_factors = _berlekamp(pm_monic([c % p for c in f], p), p)
+    mod_factors = _split_mod_p(pm_monic([c % p for c in f], p), p)
     if len(mod_factors) == 1:
         return [g]
     norm2 = isqrt(sum(c * c for c in f)) + 1

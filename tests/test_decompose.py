@@ -219,6 +219,29 @@ def test_all_chains_x24_orderings():
         (2, 2, 2, 3), (2, 2, 3, 2), (2, 3, 2, 2), (3, 2, 2, 2)]
 
 
+# 1A(q^5) = f(25B(q)) from the generated q^120 catalog: the degree-30
+# relation function that the benchmark's decompose workload leaves out
+HEAVY_25B = (
+    "(x^30+30*x^28+405*x^26+684*x^25+3250*x^24+17100*x^23"
+    "+17250*x^22+188100*x^21+221190*x^20+1197000*x^19+3316925*x^18"
+    "+4873500*x^17+27083550*x^16+25783380*x^15+126383250*x^14"
+    "+212330700*x^13+358582250*x^12+1157704200*x^11+708103365*x^10"
+    "+3469504500*x^9+1450116150*x^8+5649583500*x^7+3126774025*x^6"
+    "+4869492444*x^5+4002912000*x^4+2407734720*x^3+1952256000*x^2"
+    "+841374720*x+122023936)/(x^25+25*x^23+275*x^21-55*x^20"
+    "+1750*x^19-1100*x^18+7125*x^17-9350*x^16+20585*x^15-44000*x^14"
+    "+53775*x^13-125125*x^12+152650*x^11-233310*x^10+367125*x^9"
+    "-366850*x^8+560125*x^7-603350*x^6+530080*x^5-699875*x^4"
+    "+517275*x^3-332750*x^2+366025*x-161051)")
+
+
+def test_all_chains_degree_30_relation_function():
+    f = parse_ratfun(HEAVY_25B)
+    chains = all_chains(f)
+    assert [c.degrees for c in chains] == [(5, 3, 2), (6, 5), (6, 5)]
+    assert all(c.target() == f for c in chains)
+
+
 def test_all_chains_prime_degree():
     f = parse_ratfun("(x^3+2*x)/(x^2-5)")
     chains = all_chains(f)

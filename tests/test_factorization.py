@@ -121,6 +121,28 @@ def test_failed_invariant_is_a_verification_failure(monkeypatch):
         factor(P(-1, 0, 1))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_split_mod_p_matches_sympy_gf_factor_sqf(p):
+    # random monic squarefree inputs, and x^m - 1 for m coprime to p, whose
+    # factors come many to a degree (the equal-degree split's hard case)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
+
+    from moondec.factorization import _split_mod_p
+    rng = random.Random(p)
+    inputs = [[-1 % p] + [0] * (m - 1) + [1]
+              for m in (8, 12, 24, 36, 60) if m % p]
+    while len(inputs) < 38:
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 30))] + [1]
+        if gf_sqf_p(f[::-1], p, ZZ):
+            inputs.append(f)
+    for f in inputs:
+        _, want = gf_factor_sqf(f[::-1], p, ZZ)
+        got = _split_mod_p(f, p)
+        assert sorted(g[::-1] for g in got) == sorted(want)
+        assert got == sorted(got, key=lambda g: (len(g), g))
+
+
 def _sympy_monic_factors(ints):
     """unit and {monic factor coefficients: multiplicity} from sympy."""
     import sympy as sp
@@ -145,18 +167,18 @@ def test_factor_matches_sympy_on_large_non_monic_leads(monkeypatch):
     # sympy's factor_list is the oracle for factors, multiplicities, unit
     from moondec import factorization
     primes, splits = [], []
-    choose, berlekamp = factorization._choose_prime, factorization._berlekamp
+    choose, split = factorization._choose_prime, factorization._split_mod_p
 
     def record_prime(f):
         primes.append(choose(f))
         return primes[-1]
 
     def record_split(f, p):
-        splits.append(berlekamp(f, p))
+        splits.append(split(f, p))
         return splits[-1]
 
     monkeypatch.setattr(factorization, "_choose_prime", record_prime)
-    monkeypatch.setattr(factorization, "_berlekamp", record_split)
+    monkeypatch.setattr(factorization, "_split_mod_p", record_split)
     rng = random.Random(61)
     inputs = []
     for k in range(24):
