@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, isqrt
 from random import Random
 
@@ -62,17 +62,13 @@ def _pm_mul(a, b, p):
 
 
 def _pm_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return pm_trim(out)
+    """a + b mod p, every entry reduced, for int lists of any length."""
+    return pm_trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _pm_sub(a, b, p):
-    return _pm_add(a, [-c for c in b], p)
+    """a - b mod p, every entry reduced, for int lists of any length."""
+    return pm_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _pm_deriv(a, p):
@@ -150,10 +146,6 @@ def _pm_bezout(a, b, p):
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _mod_reduce(a, m):
-    return pm_trim([c % m for c in a])
-
-
 def _hensel_pair(f, g, h, s, t, p, target):
     """Lift f = g*h from mod p to mod target, a power of p (h, g monic).
 
@@ -162,8 +154,7 @@ def _hensel_pair(f, g, h, s, t, p, target):
     m = p
     while m < target:
         m2 = min(m * m, target)
-        fm = _mod_reduce(f, m2)
-        e = _pm_sub(fm, _kernels.poly_mul(g, h, m2), m2)
+        e = _pm_sub(f, _kernels.poly_mul(g, h, m2), m2)
         q, r = pm_divrem(_kernels.poly_mul(s, e, m2), h, m2)
         g = _pm_add(_pm_add(g, _kernels.poly_mul(t, e, m2), m2),
                     _kernels.poly_mul(q, g, m2), m2)

@@ -18,17 +18,18 @@ s2, one integer row subtraction per term, and R_j = s2*R_(j-1) - rho from
 one product with s2 (see _build_system).
 
 Most systems are inconsistent, and the scan rejects those on a leading
-block before it builds them in full.  The block is the same system built
-from both series truncated to q^(2e+1), the precision the scan requires:
-its e + 2 rows are rows q^1..q^(e+2) of the full system, each scaled by
-one positive constant.  A row subset of [A | b] of rank (e - r) + 1 means
-rank [A | b] > rank A, so the full system is inconsistent too and that r
-has no relation; the block's rank is taken modulo a prime, a lower bound
-of its rank over Q, so that no exact elimination is spent on it.  Every
-other r is solved on the full series, so the block changes no result: a
-consistent system has only consistent blocks.
-When the full system has no rows beyond the block (series certified just
-through q^(2e+1)), the block is solved as the full system instead.
+block before it builds them in full.  The block is the system's first
+e + 2 rows, rows q^1..q^(e+2), each the full row times one positive
+constant, built from the same series and table of s2's powers (the scan
+requires q^(2e+1), so every system has that many).  A row subset of
+[A | b] of rank (e - r) + 1 means rank [A | b] > rank A, so the full
+system is inconsistent too and that r has no relation; the block's rank
+is taken modulo a prime, a lower bound of its rank over Q, so that no
+exact elimination is spent on it.  Every other r is solved on its full
+system, so the block changes no result: a consistent system has only
+consistent blocks.  When the full system has no rows beyond the block
+(series certified just through q^(2e+1)), the block is the full system
+and is solved as built.
 
 ``lowest_degree_relations`` scans one target at every degree up to a
 bound, as modular polynomials need: it shares one table of the target's
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from moondec import linalg
 from moondec.errors import (
@@ -98,21 +99,21 @@ def degree_from_areas(a1: Fraction, a2: Fraction):
     return None
 
 
-def _series_powers(s: QSeries, top: int,
-                   powers: list[GeneralLaurent] | None = None
-                   ) -> list[GeneralLaurent]:
-    """s^0..s^top: ``powers``, a table of s's powers from s^0, grown in
-    place when it is given, else a new table.  A longer table serves too:
-    the relation builders index it, and s^j does not depend on top."""
-    return series_powers(s.to_laurent(), top, powers)
+def _row_count(prec1: int, prec2: int, e: int, r: int) -> int:
+    """Certified rows of r's system for s1 and s2 certified through q^prec1
+    and q^prec2.  R_(e-r) is the least certified rest: s2^m is certified
+    through prec2 - m + 1, so the product s1(q^r)*s2^(e-r) is certified
+    through min(r*prec1 - (e - r), prec2 - e + 1), as s2^e is."""
+    return min(r * prec1 - (e - r), prec2 - e + 1)
 
 
 def _build_system(s1: QSeries, e: int, r: int,
-                  powers: list[GeneralLaurent]):
+                  powers: list[GeneralLaurent], cap: int | float = inf):
     """Equations for one r, and P_0..P_(e-r): each product s1(q^r)*s2^j is
     P_j(s2) + R_j with R_j = O(q).  Columns b_0..b_(e-r-1); row k is the
-    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0.  ``powers`` is a
-    table of s2's powers through s2^r at least.
+    coefficient of q^(k+1) in sum b_j R_j + R_(e-r) = 0, for the first
+    ``cap`` of the certified rows.  ``powers`` is a table of s2's powers
+    through s2^r at least.
 
     R_0 = s1(q^r) - P_0(s2) cancels the principal part of s1(q^r) with the
     powers s2^0..s2^r of the monic s2, one scaled integer row subtraction
@@ -120,23 +121,26 @@ def _build_system(s1: QSeries, e: int, r: int,
     s2*R_(j-1) = rho + O(q), rho its coefficient of q^1 in R_(j-1), since
     s2 = 1/q + O(1); so R_j = s2*R_(j-1) - rho and P_j = x*P_(j-1) + rho,
     one product with s2 per j.  Each product certifies one row less, so
-    R_0 is taken through q^(bound + e - r): s2^m for m <= r is certified
-    that far because bound <= prec(s2^e) = prec(s2) - e + 1.  Bodies drop
-    trailing zeros, so every row is padded to the coefficients it must
-    hold."""
+    R_0 is taken through q^(rows + e - r), which s2^m for m <= r certifies
+    because the row count is at most prec(s2^e) = prec(s2) - e + 1.  Every
+    series is sliced to the coefficients its product reads, and bodies
+    drop trailing zeros, so every row is padded to the coefficients it
+    must hold.  The rows are read off the capped columns, so each is the
+    full build's row times one positive constant, the same for every row
+    (see ``linalg.integer_rows``); a cap at or above the row count gives
+    the full build."""
     sub = substitute_power(s1, r)
-    # R_(e-r) is the least certified rest: s2^m is certified through
-    # prec(s2) - m + 1, so the product s1(q^r)*s2^(e-r) is certified through
-    # min(prec(s1(q^r)) - (e - r), prec(s2) - e + 1), as s2^e is
-    bound = min(sub.prec - (e - r), powers[1].prec - e + 1)
-    if bound < e - r + 1:
+    count = _row_count(s1.prec, powers[1].prec, e, r)
+    if count < e - r + 1:
         raise InsufficientPrecisionError(
-            f"only {bound} certified equations for {e - r} unknowns at r={r}")
-    length = bound + e - r  # of R_0, from q^1
+            f"only {count} certified equations for {e - r} unknowns at r={r}")
+    rows = min(count, cap)
+    length = rows + e - r  # of R_0, from q^1
     den = lcm(*(p.body.den for p in powers[:r + 1]))
     # table[m]: s2^m from q^-m through q^length, times den; it leads with den
-    table = [_padded([n * (den // p.body.den) for n in p.body.nums],
-                     length + m + 1) for m, p in enumerate(powers[:r + 1])]
+    table = [[n * (den // p.body.den) for n in _padded(p.body.nums,
+                                                        length + m + 1)]
+             for m, p in enumerate(powers[:r + 1])]
     nums, pden = _padded(sub.body.nums, length + r + 1), sub.body.den
     coeffs = [0] * (r + 1)
     for m in range(r, -1, -1):
@@ -152,18 +156,18 @@ def _build_system(s1: QSeries, e: int, r: int,
     rest = nums[r + 1:]
     s2 = powers[1].body
     polys = [Poly.make(coeffs, pden)]
-    cols = [Poly.make(rest[:bound], pden)]
+    cols = [Poly.make(rest[:rows], pden)]
     for _ in range(e - r):
-        prod, pden = mul_fraction_seqs((rest, pden), (s2.nums, s2.den),
-                                       len(rest))
+        prod, pden = mul_fraction_seqs(
+            (rest, pden), (s2.nums[:len(rest)], s2.den), len(rest))
         coeffs = [prod[0]] + [s2.den * c for c in coeffs]
         rest = prod[1:]
         polys.append(Poly.make(coeffs, pden))
-        cols.append(Poly.make(rest[:bound], pden))
+        cols.append(Poly.make(rest[:rows], pden))
     cols[-1] = -cols[-1]
-    rows = linalg.integer_rows(cols, bound)
-    return LinearSystem(tuple(row[:-1] for row in rows),
-                        tuple(row[-1] for row in rows)), polys
+    matrix = linalg.integer_rows(cols, rows)
+    return LinearSystem(tuple(row[:-1] for row in matrix),
+                        tuple(row[-1] for row in matrix)), polys
 
 
 def _padded(nums, length):
@@ -218,7 +222,8 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
           powers: list[GeneralLaurent] | None = None, done=()):
     """Verified relations for r = 1..e outside ``done``, lowest r first,
     found lazily.  ``powers`` is a table of s2's powers to grow and share;
-    without one, the scan makes its own once a block passes."""
+    without one, the scan makes its own.  Leading blocks and full systems
+    are built from that one table."""
     if e < 1:
         raise InvalidInputError("degree must be a positive integer")
     need = 2 * e + 1
@@ -226,24 +231,21 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
         raise InsufficientPrecisionError(
             f"series must be certified through q^{need} "
             f"(have {s1.prec} and {s2.prec})")
-    head1, head2 = s1.truncate(need), s2.truncate(need)
-    head_powers = _series_powers(head2, 1)
     for r in range(1, e + 1):
         if r in done:
             continue
-        block, polys = _build_system(head1, e, r,
-                                     _series_powers(head2, r, head_powers))
+        powers = series_powers(s2.laurent, r, powers)
+        block, polys = _build_system(s1, e, r, powers, e + 2)
         try:
             # the block's e + 2 rows are all the full system has when the
             # series are certified that far only: solve it as it stands
-            if min(r * s1.prec - (e - r), s2.prec - e + 1) == e + 2:
+            if _row_count(s1.prec, s2.prec, e, r) == e + 2:
                 rel = _solved(s1, s2, e, r, block, polys)
             elif linalg.proves_inconsistent(
                     [(*row, b) for row, b in zip(block.matrix, block.rhs)],
                     e - r):
                 continue
             else:
-                powers = _series_powers(s2, r, powers)
                 rel = _try_r(s1, s2, e, r, powers)
         except UnderdeterminedSystemError:
             if not skip_underdetermined:
@@ -286,9 +288,8 @@ def lowest_degree_relations(sources, s2: QSeries, emax: int):
     the degree-e system vanishes, on a family of solutions that no leading
     block rejects.  Nor can skipping r skip an error: _scan's own check of
     q^(2e+1) is independent of r, and past it every system has
-    min(r*prec(s1) - (e - r), prec(s2) - e + 1) >= e + 2 rows for its
-    e - r unknowns, so _build_system's InsufficientPrecisionError cannot
-    fire.  Skipping r changes no result.
+    _row_count >= e + 2 rows for its e - r unknowns, so _build_system's
+    InsufficientPrecisionError cannot fire.  Skipping r changes no result.
     """
     powers = [GeneralLaurent.exact_scalar(1)]
     for s1 in sources:

@@ -152,6 +152,32 @@ def test_block_that_is_the_full_system_is_built_once(monkeypatch,
     assert calls["_build_system"] == 12
 
 
+def test_relation_scan_grows_one_table_of_powers(monkeypatch,
+                                                moonshine_catalog_path):
+    # the leading blocks and the full systems of one scan are built from
+    # one table of s2's powers, and each power is built once
+    from moondec import relations
+    series = _bundled_series(moonshine_catalog_path)
+    tables, built = [], []
+    series_powers = relations.series_powers
+
+    def counting_powers(s, top, powers=None):
+        # a new table starts with s^0, which is no product
+        before = len(powers) if powers is not None else 1
+        out = series_powers(s, top, powers)
+        if not any(out is t for t in tables):
+            tables.append(out)
+        built.append(len(out) - before)
+        return out
+
+    monkeypatch.setattr(relations, "series_powers", counting_powers)
+    found = relations.find_all_relations(series["1A"], series["9B"], 12)
+    assert [rel.r for rel in found] == [1, 3, 9]
+    assert len(tables) == 1
+    # the table starts at s2^0; every higher power is appended once
+    assert sum(built) == len(tables[0]) - 1 <= 12
+
+
 def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
                                                    moonshine_catalog_path):
     # a power that has a relation at a lower degree is not scanned again
@@ -160,7 +186,7 @@ def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
     from moondec import cli, errors, linalg, relations
     prec = _bundled_series(moonshine_catalog_path)["9B"].prec
     raised, tables, built = [], [], []
-    solve_unique, series_powers = linalg.solve_unique, relations._series_powers
+    solve_unique, series_powers = linalg.solve_unique, relations.series_powers
 
     def counting_solve(*args):
         try:
@@ -179,7 +205,7 @@ def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
         return out
 
     monkeypatch.setattr(linalg, "solve_unique", counting_solve)
-    monkeypatch.setattr(relations, "_series_powers", counting_powers)
+    monkeypatch.setattr(relations, "series_powers", counting_powers)
     code = cli.main(["modpoly", "--catalog", str(moonshine_catalog_path),
                      "--target", "9B", "--emax", "12"])
     printed = capsys.readouterr().out.splitlines()

@@ -143,6 +143,32 @@ def test_split_mod_p_matches_sympy_gf_factor_sqf(p):
         assert got == sorted(got, key=lambda g: (len(g), g))
 
 
+def test_pm_add_and_sub_reduce_every_entry_like_sympy():
+    # unreduced, negative and unequal-length inputs; sympy's gf_add and
+    # gf_sub (leading coefficient first) run on the reduced inputs, since
+    # they leave the longer operand's extra entries as they are
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_sub, gf_trunc
+
+    from moondec.factorization import _pm_add, _pm_sub
+    rng = random.Random(72)
+    seen = {"unequal": 0, "zero": 0}
+    for i in range(300):
+        p = rng.choice([3, 7, 13, 2 ** 61 - 1, 3 ** 40])
+        a, b = ([rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 9))]
+                for _ in range(2))
+        if i % 10 == 0:
+            b = [-c for c in a]
+        fa, fb = (gf_trunc(c[::-1], p) for c in (a, b))
+        for ours, theirs in ((_pm_add, gf_add), (_pm_sub, gf_sub)):
+            got = ours(a, b, p)
+            assert got == theirs(fa, fb, p, ZZ)[::-1], (a, b, p)
+            assert all(0 <= c < p for c in got)
+            seen["zero"] += not got
+        seen["unequal"] += len(a) != len(b)
+    assert min(seen.values()) >= 20, seen
+
+
 def _sympy_monic_factors(ints):
     """unit and {monic factor coefficients: multiplicity} from sympy."""
     import sympy as sp

@@ -16,7 +16,6 @@ from moondec.relations import (
     LinearSystem,
     Relation,
     _build_system,
-    _series_powers,
     _try_r,
     degree_from_areas,
     find_all_relations,
@@ -29,6 +28,7 @@ from moondec.series import (
     QSeries,
     eval_ratfun_at_series,
     inner_series_solve,
+    series_powers,
     substitute_power,
 )
 from oracles import full_ansatz_relation
@@ -105,7 +105,7 @@ def test_equation_count_formula():
     rng = random.Random(60)
     for e, r in [(2, 1), (3, 2), (5, 5), (4, 1)]:
         s1, s2, _ = plant(rng, e, r)
-        powers = _series_powers(s2, e)
+        powers = series_powers(s2.laurent, e)
         system, polys = _build_system(s1, e, r, powers)
         assert len(system.matrix) == e + 2
         assert all(len(row) == e - r for row in system.matrix)
@@ -122,7 +122,7 @@ def test_system_needs_one_more_equation_than_unknowns():
 
     def system_at(p):
         s2 = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(p + 1)])
-        return _build_system(s1, e, r, _series_powers(s2, e))[0]
+        return _build_system(s1, e, r, series_powers(s2.laurent, e))[0]
 
     with pytest.raises(InsufficientPrecisionError):
         system_at(2 * e - r - 1)
@@ -234,7 +234,7 @@ def test_integer_rows_are_one_positive_multiple_of_the_fraction_rows():
     for e, r in [(2, 1), (3, 1), (4, 1), (3, 2), (4, 3), (5, 2), (3, 3)]:
         s1, s2, f = _fraction_plant(rng, e, r, 2 * e + 1)
         assert any(c.denominator > 1 for c in s2.coeffs)
-        powers = _series_powers(s2, e)
+        powers = series_powers(s2.laurent, e)
         system, polys = _build_system(s1, e, r, powers)
         oracle_polys, oracle = _reduced_rows(s1, s2, e, r, powers)
         assert polys == oracle_polys
@@ -293,7 +293,7 @@ def test_try_r_matches_the_full_ansatz_oracle():
     seen = {"relation": 0, None: 0, "underdetermined": 0, "r=e": 0}
     cases = 0
     for s1, s2, e in _oracle_instances(random.Random(66), 330):
-        powers = _series_powers(s2, e)
+        powers = series_powers(s2.laurent, e)
         for r in range(1, e + 1):
             sub = substitute_power(s1, r)
             expected = full_ansatz_relation(sub, powers, e, r)
@@ -371,7 +371,8 @@ def test_block_rejection_matches_the_full_scan():
     for s1, s2, e in instances:
         need = 2 * e + 1
         head1, head2 = s1.truncate(need), s2.truncate(need)
-        head_powers, powers = _series_powers(head2, e), _series_powers(s2, e)
+        head_powers = series_powers(head2.laurent, e)
+        powers = series_powers(s2.laurent, e)
         fractional = any(c.denominator > 1 for c in s1.coeffs + s2.coeffs)
         outcomes = []  # the reference: _try_r on the full series, every r
         for r in range(1, e + 1):
@@ -413,6 +414,47 @@ def test_block_rejection_matches_the_full_scan():
     assert min(seen.values()) >= 20, seen
 
 
+def test_capped_build_is_the_block_of_the_cut_series():
+    # the leading block is the full series' build capped at e + 2 rows;
+    # each row is one positive multiple, the same for every row, of the
+    # row built from both series cut to q^(2e+1), and a cap at or above
+    # the row count is the full build
+    seen = dict.fromkeys(["rows past the block", "block is every row",
+                          "Fraction coefficients"], 0)
+    rng = random.Random(73)
+    instances = [*_oracle_instances(rng, 120),
+                 *_late_perturbed_plants(rng, 40),
+                 *(plant(rng, e, rng.randint(1, e), 2 * e + 1 + extra)[:2]
+                   + (e,) for e, extra in ((2, 0), (3, 5), (5, 9), (6, 2)))]
+    for s1, s2, e in instances:
+        need = 2 * e + 1
+        powers = series_powers(s2.laurent, e)
+        head_powers = series_powers(s2.truncate(need).laurent, e)
+        for r in range(1, e + 1):
+            cut, cut_polys = _build_system(s1.truncate(need), e, r,
+                                           head_powers)
+            block, polys = _build_system(s1, e, r, powers, e + 2)
+            assert polys == cut_polys
+            rows = [list(row) + [b]
+                    for row, b in zip(block.matrix, block.rhs)]
+            oracle = [list(row) + [b] for row, b in zip(cut.matrix, cut.rhs)]
+            assert len(rows) == len(oracle) == e + 2
+            mult = next((Fraction(a, b) for row, orow in zip(rows, oracle)
+                         for a, b in zip(row, orow) if b), 1)
+            assert mult > 0
+            assert rows == [[mult * v for v in row] for row in oracle], \
+                (s1, s2, e, r)
+            full = _build_system(s1, e, r, powers)
+            count = len(full[0].matrix)
+            for cap in (count, count + 1, count + 7):
+                assert _build_system(s1, e, r, powers, cap) == full
+            seen["rows past the block" if count > e + 2
+                 else "block is every row"] += 1
+            seen["Fraction coefficients"] += any(
+                c.denominator > 1 for c in s1.coeffs + s2.coeffs)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_integer_build_pads_bodies_that_end_in_zeros():
     # a body drops its trailing zeros, so series known exactly to a few
     # terms are stored far shorter than their certified range; the integer
@@ -433,7 +475,7 @@ def test_integer_build_pads_bodies_that_end_in_zeros():
         s1, s2 = short_series(), short_series()
         for s in (s1, s2):
             assert len(s.laurent.body.nums) < s.prec + 2
-        powers = _series_powers(s2, e)
+        powers = series_powers(s2.laurent, e)
         system, polys = _build_system(s1, e, r, powers)
         oracle_polys, oracle = _reduced_rows(s1, s2, e, r, powers)
         assert polys == oracle_polys, (s1, s2, e, r)
