@@ -25,11 +25,11 @@ requires q^(2e+1), so every system has that many).  A row subset of
 [A | b] of rank (e - r) + 1 means rank [A | b] > rank A, so the full
 system is inconsistent too and that r has no relation; the block's rank
 is taken modulo a prime, a lower bound of its rank over Q, so that no
-exact elimination is spent on it.  Every other r is solved on its full
-system, so the block changes no result: a consistent system has only
-consistent blocks.  When the full system has no rows beyond the block
-(series certified just through q^(2e+1)), the block is the full system
-and is solved as built.
+exact elimination is spent on it.  Every block is tested before any
+exact solve, and every r it does not reject is solved exactly, so the
+test changes no result: a consistent system has only consistent blocks.
+A surviving block that holds every certified row (series certified just
+through q^(2e+1)) is the full system and is solved as built.
 
 ``lowest_degree_relations`` scans one target at every degree up to a
 bound, as modular polynomials need: it shares one table of the target's
@@ -236,15 +236,14 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
             continue
         powers = series_powers(s2.laurent, r, powers)
         block, polys = _build_system(s1, e, r, powers, e + 2)
+        if linalg.proves_inconsistent(
+                [(*row, b) for row, b in zip(block.matrix, block.rhs)], e - r):
+            continue
         try:
             # the block's e + 2 rows are all the full system has when the
             # series are certified that far only: solve it as it stands
             if _row_count(s1.prec, s2.prec, e, r) == e + 2:
                 rel = _solved(s1, s2, e, r, block, polys)
-            elif linalg.proves_inconsistent(
-                    [(*row, b) for row, b in zip(block.matrix, block.rhs)],
-                    e - r):
-                continue
             else:
                 rel = _try_r(s1, s2, e, r, powers)
         except UnderdeterminedSystemError:

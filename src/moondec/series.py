@@ -23,12 +23,17 @@ Two kinds of value:
 
 Certified-precision rules: add/sub take the min; a product is certified
 through min(prec_a + lead_b, prec_b + lead_a); a quotient through
-min(prec_a - lead_b, prec_b - 2*lead_b + lead_a).
+min(prec_a - lead_b, prec_b - 2*lead_b + lead_a).  Every sum, difference
+included, goes through ``combine_powers``, which writes the rule for sums
+once: the least precision over the terms with a nonzero weight.
 
 Division and ``inner_series_solve`` are Newton iterations on kernel
 products (Brent & Kung, JACM 1978): each step doubles the exact length.
 A polynomial is evaluated at a series by Paterson & Stockmeyer (SIAM J.
-Comput. 1973): about 2*sqrt(d) products instead of Horner's d.
+Comput. 1973): about 2*sqrt(d) products instead of Horner's d.  Each
+evaluation point gets one table of powers, which every polynomial
+evaluated there shares: num and den of a function, and the four
+polynomials of a Newton step.
 """
 
 from __future__ import annotations
@@ -117,22 +122,14 @@ class GeneralLaurent:
         """Add an exact constant (affects only the q^0 coefficient)."""
         return self + GeneralLaurent.exact_scalar(value)
 
-    def _shifted(self, lo: int) -> Poly:
-        """The body as coefficients from q^lo, lo <= lead."""
-        if not self.body.nums:
-            return ZERO
-        return Poly((0,) * (self.lead - lo) + self.body.nums, self.body.den)
-
     def __add__(self, other: GeneralLaurent) -> GeneralLaurent:
-        lo = min(self.lead, other.lead)
-        total = self._shifted(lo) + other._shifted(lo)
-        return _series(lo, total.nums, total.den, min(self.prec, other.prec))
+        return combine_powers((1, 1), 1, (self, other))
 
     def __neg__(self) -> GeneralLaurent:
         return GeneralLaurent(self.lead, -self.body, self.prec)
 
     def __sub__(self, other: GeneralLaurent) -> GeneralLaurent:
-        return self + (-other)
+        return combine_powers((1, -1), 1, (self, other))
 
     def __mul__(self, other: GeneralLaurent) -> GeneralLaurent:
         # a zero-to-prec series stores lead = prec + 1: it acts as O(q^lead)
@@ -221,8 +218,6 @@ class QSeries:
         return QSeries(t)
 
     def truncate(self, prec: int) -> QSeries:
-        if prec > self.prec:
-            raise ValueError("cannot extend certified precision")
         return QSeries(self.laurent.truncate(prec))
 
 
@@ -293,11 +288,6 @@ def eval_poly_on_powers(p: Poly, powers) -> GeneralLaurent:
     return ZERO_SERIES if acc is None else acc
 
 
-def eval_poly_at_series(p: Poly, t: GeneralLaurent) -> GeneralLaurent:
-    """p evaluated at a series."""
-    return eval_poly_on_powers(p, series_powers(t, block_size(p.degree)))
-
-
 def eval_ratfun_at_series(f: RatFun, s) -> GeneralLaurent:
     """f evaluated at a series (QSeries or GeneralLaurent); num and den
     share one table of powers."""
@@ -318,6 +308,9 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
     at q^(1-deg num) with the nonzero pivot d*lc(num), so the step
     s_k - P(s_k)/P'(s_k) is exact through q^(2k): each step takes k to
     2k+1 coefficients, and the target's precision caps the last one.
+    Each step builds one table of s_k's powers, on which num, den, num'
+    and den' are evaluated; Paterson-Stockmeyer gives Horner's value and
+    precision for any table size, so one size serves all four.
     """
     d = f.num.degree - f.den.degree
     if d < 1:
@@ -340,10 +333,11 @@ def inner_series_solve(f: RatFun, target: GeneralLaurent) -> QSeries:
         n = min(2 * k + 1, kmax + 1)
         # s_k is exact; precision q^(n-1) only cuts what this step needs
         guess = GeneralLaurent(-1, body, n - 1)
-        value = (eval_poly_at_series(f.num, guess)
-                 - target * eval_poly_at_series(f.den, guess))
-        slope = (eval_poly_at_series(dnum, guess)
-                 - target * eval_poly_at_series(dden, guess))
+        powers = series_powers(guess, block_size(f.degree))
+        value = (eval_poly_on_powers(f.num, powers)
+                 - target * eval_poly_on_powers(f.den, powers))
+        slope = (eval_poly_on_powers(dnum, powers)
+                 - target * eval_poly_on_powers(dden, powers))
         # the step vanishes below q^k, where s_k is already exact
         body = (guess - value / slope).truncate(n - 1).body
         k = n

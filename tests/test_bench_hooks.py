@@ -152,6 +152,23 @@ def test_block_that_is_the_full_system_is_built_once(monkeypatch,
     assert calls["_build_system"] == 12
 
 
+def test_every_block_takes_the_rank_test_before_any_solve(
+        monkeypatch, moonshine_catalog_path):
+    # certified only through q^(2e+1), each block is the full system; the
+    # rank test modulo the prime still runs first on every one of them,
+    # and only the blocks it cannot reject are solved exactly
+    from moondec import linalg, relations
+    series = _bundled_series(moonshine_catalog_path, 25)
+    calls = {}
+    _count_calls(monkeypatch, calls, linalg, "proves_inconsistent")
+    _count_calls(monkeypatch, calls, relations, "solve_linear")
+    found = relations.find_all_relations(series["1A"], series["9B"], 12,
+                                         True)
+    assert [(rel.r, rel.verified_to) for rel in found] == \
+        [(1, 25), (3, 23), (9, 17)]
+    assert calls == {"proves_inconsistent": 12, "solve_linear": 3}
+
+
 def test_relation_scan_grows_one_table_of_powers(monkeypatch,
                                                 moonshine_catalog_path):
     # the leading blocks and the full systems of one scan are built from

@@ -21,10 +21,11 @@ from moondec.series import (
     ZERO_SERIES,
     GeneralLaurent,
     QSeries,
-    eval_poly_at_series,
+    eval_poly_on_powers,
     eval_ratfun_at_series,
     inner_series_solve,
     power_support,
+    series_powers,
     substitute_power,
 )
 from oracles import (
@@ -268,20 +269,22 @@ def test_inner_solve_matches_the_one_coefficient_solver():
 
 
 def test_inner_solve_evaluates_logarithmically_often(monkeypatch):
+    # one table of powers per Newton step, shared by num, den, num' and
+    # den', and one for the forward check: 7 steps reach q^100
     f = parse_ratfun("(2*x^3-x+1)/(x+3)")
     rng = random.Random(58)
     s = QSeries.from_coeffs([rng.randint(-5, 5) for _ in range(101)])
     target = eval_ratfun_at_series(f, s)
-    calls = []
+    tables = []
 
-    def counted(p, t):
-        calls.append(p)
-        return eval_poly_at_series(p, t)
+    def counted(t, top, powers=None):
+        tables.append(top)
+        return series_powers(t, top, powers)
 
-    monkeypatch.setattr(series, "eval_poly_at_series", counted)
+    monkeypatch.setattr(series, "series_powers", counted)
     solved = inner_series_solve(f, target)
     assert solved.coeffs == s.coeffs
-    assert len(calls) < 40
+    assert len(tables) == 8
 
 
 def test_power_support():
@@ -485,7 +488,7 @@ def test_exact_zero_is_the_zero_to_prec_rule_at_infinity():
         lead, cs, prec = _plain_operand(rng, case)
         s = GeneralLaurent.make(lead, cs, prec)
         for result in (s * ZERO_SERIES, ZERO_SERIES * s,
-                       eval_poly_at_series(ZERO, s)):
+                       eval_poly_on_powers(ZERO, series_powers(s, 1))):
             assert result == ZERO_SERIES
         assert s + ZERO_SERIES == s and ZERO_SERIES - s == -s
         if not s.is_zero:
@@ -531,8 +534,10 @@ def test_equal_values_from_different_spellings_are_equal():
 
 
 def test_paterson_stockmeyer_matches_horner_in_value_and_precision():
-    """eval_poly_at_series against Horner's rule (tests/oracles.py) over
-    leads -3..3, exact, finite and zero-to-prec series, and degrees 0..40
+    """eval_poly_on_powers against Horner's rule (tests/oracles.py) on
+    every table t^0..t^k, k = 1..deg p + 1, not only block_size(deg p): a
+    Newton step evaluates polynomials of several degrees on one table.
+    Leads -3..3, exact, finite and zero-to-prec series, and degrees 0..40
     with runs of zero coefficients; dataclass equality compares the
     certified precision too.  eval_ratfun_at_series shares one table of
     powers between num and den and must give Horner's num / Horner's den."""
@@ -559,7 +564,10 @@ def test_paterson_stockmeyer_matches_horner_in_value_and_precision():
                                                rng.randint(1, 9))])
                           for _ in range(degree)]
                 p = Poly.from_coeffs(coeffs + [rng.choice([1, -4, 7])])
-                assert eval_poly_at_series(p, t) == horner_eval(p, t)
+                want = horner_eval(p, t)
+                powers = series_powers(t, degree + 1)
+                for k in range(1, degree + 2):
+                    assert eval_poly_on_powers(p, powers[:k + 1]) == want
                 q = Poly.from_coeffs([rng.randint(-3, 3) for _ in
                                       range(rng.randint(0, degree + 1))]
                                      + [1])
