@@ -45,7 +45,7 @@ from moondec.relations import (
     lowest_degree_relations,
     verify_relation,
 )
-from moondec.series import substitute_power
+from moondec.series import series_powers, substitute_power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,12 +190,15 @@ def _cmd_relate(args) -> int:
     dst = _entry(catalog, args.dst)
     degrees, strict = _candidate_degrees(args, src, dst)
     relations = []
+    # one table of the target's powers for every degree scanned
+    powers = series_powers(dst.series.laurent, 0)
     for e in degrees:
         try:
             if args.all_r:
-                relations.extend(find_all_relations(src.series, dst.series, e))
+                relations.extend(find_all_relations(
+                    src.series, dst.series, e, powers=powers))
             else:
-                rel = find_relation(src.series, dst.series, e)
+                rel = find_relation(src.series, dst.series, e, powers=powers)
                 if rel is not None:
                     relations.append(rel)
                     break

@@ -52,14 +52,14 @@ from moondec.series import (
 )
 
 # ASCII digits only: \d and int() also take '٣' and the other Nd digits
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # '"', backslash, the C0 and C1 controls and the Unicode line breaks
 _BAD_NAME_RE = re.compile(r'["\\\x00-\x1f\x7f-\x9f\u2028\u2029]')
 
 
 def _parse_rational(text, lineno) -> int | Fraction:
     """An int for an integer literal, a Fraction for p/q."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise CatalogParseError(f"not a rational literal: {text!r}", lineno)
     try:
         return Fraction(text) if "/" in text else int(text)
@@ -70,8 +70,17 @@ def _parse_rational(text, lineno) -> int | Fraction:
 
 
 def _parse_coeffs(value, lineno) -> list[int | Fraction]:
+    """_parse_rational of each entry.  A list of strings made of ASCII
+    digits and '-' only is read in bulk by int(), which takes exactly the
+    literals -?[0-9]+ among such strings; any other list is read entry by
+    entry, and its first bad entry raises its error."""
     if not isinstance(value, list):
         raise CatalogParseError("coeffs must be an array", lineno)
+    try:
+        if not "".join(value).encode("ascii").translate(None, b"0123456789-"):
+            return list(map(int, value))
+    except (TypeError, ValueError):  # non-strings, non-ASCII, bad literals
+        pass
     return [_parse_rational(c, lineno) for c in value]
 
 

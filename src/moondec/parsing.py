@@ -67,9 +67,11 @@ class _Tokenizer:
         return int(self.text[start:self.pos])
 
 
-# A printed term: [sign] (p[/q][*x[^k]] | x[^k]), ASCII digits only.
-_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(?:\*(x))?|(x))"
-                      r"(?:\^([0-9]+))?")
+# A printed term, captured whole: [sign] (p[/q][*x[^k]] | x[^k]), ASCII
+# digits only, each literal at most MAX_BITS // 3 digits, as take_int takes.
+_LITERAL = f"([0-9]{{1,{MAX_BITS // 3}}})"
+_TERM_RE = re.compile(rf"(([+-]?)(?:{_LITERAL}(?:/{_LITERAL})?(?:\*(x))?|(x))"
+                      rf"(?:\^{_LITERAL})?)")
 _QUOTIENT_RE = re.compile(r"\(([^()]*)\)/\(([^()]*)\)")
 
 
@@ -85,41 +87,34 @@ def parse_ratfun(text: str) -> RatFun:
     return RatFun(num, ONE) if m is None else RatFun.make(num, den)
 
 
-def _literal(digits: str) -> int | None:
-    """int(digits), or None for a literal that take_int rejects."""
-    return None if len(digits) * 3 > MAX_BITS else int(digits)
-
-
 def _printed_poly(text: str) -> Poly | None:
     """The polynomial of text in poly_text's form, read term by term; None
     for any other text, and for text the general parser would reject or
     read through a power of a constant: a long literal, an exponent
     outside 1..MAX_DEGREE, a zero denominator."""
+    found = _TERM_RE.findall(text)
+    # the terms must tile the text, with no leading '+' and a sign between
+    # any two of them
+    if not found or "".join(t[0] for t in found) != text \
+            or found[0][1] == "+" or not all(t[1] for t in found[1:]):
+        return None
     terms = []
-    pos = 0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        # printed text has no leading '+' and a sign between any two terms
-        if m is None or (m[1] == "+" if pos == 0 else not m[1]):
-            return None
-        sign, p, q, times_x, bare_x, k = m.groups()
-        if k is None:
+    den = 1
+    for _, sign, p, q, times_x, bare_x, k in found:
+        if not k:
             k = 0 if p and not times_x else 1
         elif not (times_x or bare_x):
             return None
         else:
-            k = _literal(k)
-            if k is None or not 1 <= k <= MAX_DEGREE:
+            k = int(k)
+            if not 1 <= k <= MAX_DEGREE:
                 return None
-        p = _literal(p) if p else 1
-        q = _literal(q) if q else 1
-        if p is None or not q:
+        p = int(p) if p else 1
+        q = int(q) if q else 1
+        if not q:
             return None
+        den = lcm(den, q)
         terms.append((k, -p if sign == "-" else p, q))
-        pos = m.end()
-    if not terms:
-        return None
-    den = lcm(*(q for _, _, q in terms))
     nums = [0] * (1 + max(k for k, _, _ in terms))
     for k, p, q in terms:
         nums[k] += p * (den // q)

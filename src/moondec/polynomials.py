@@ -19,14 +19,18 @@ from math import gcd, inf, lcm
 
 from moondec import _kernels
 from moondec.errors import BothZeroError, ZeroDivisionPolyError, ZeroPolyError
+from moondec.linalg import RANK_PRIME
 
 
 MINUS_INFINITY = -inf  # the degree of the zero polynomial
 
 
 def clear_denominators(coeffs):
-    """Return (integer coefficients, multiplier m) with ints = coeffs * m."""
-    mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    """Return (integer coefficients, multiplier m) with ints = coeffs * m;
+    a list of ints is copied as it is, with m = 1."""
+    if {*map(type, coeffs)} <= {int}:
+        return list(coeffs), 1
+    mult = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (mult // c.denominator) for c in coeffs], mult
 
 
@@ -257,18 +261,24 @@ def _int_primitive(ints) -> list[int]:
     return [c // g for c in ints]
 
 
-# 2^61 - 1: images mod this prime certify coprimality (see poly_gcd)
-GCD_PRIME = (1 << 61) - 1
+# Images modulo this prime certify coprimality (see poly_gcd).  It is the
+# rank test's prime, the largest below 2^15: residues and their products
+# stay below 2^30, so Euclid runs on CPython's one-digit integers.  A pair
+# whose images share a factor although the inputs do not only costs the PRS.
+GCD_PRIME = RANK_PRIME
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (primitive PRS over the integers).
 
-    Before the PRS, Euclid runs on the images mod GCD_PRIME of the
-    primitive integer inputs when the prime divides neither leading
-    coefficient.  A gcd of degree 0 there certifies ONE: a common factor
-    over Z divides both inputs, so its leading coefficient divides theirs
-    and its image mod the prime keeps its degree and divides both images.
+    Before the PRS, Euclid runs on the images mod GCD_PRIME of the integer
+    numerators when the prime divides neither leading numerator.  A gcd of
+    degree 0 there certifies ONE: a common factor over Q has a primitive
+    integer multiple that divides both numerator lists over Z (Gauss), so
+    its leading coefficient divides theirs and its image mod the prime
+    keeps its degree and divides both images.  Any other outcome, such as
+    images that share a root mod the prime while the inputs do not, leaves
+    the answer to the PRS.
     """
     if a.is_zero and b.is_zero:
         raise BothZeroError("gcd of two zero polynomials")
@@ -276,14 +286,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    p = GCD_PRIME
+    if a.nums[-1] % p and b.nums[-1] % p and len(_kernels.pm_gcd(
+            [c % p for c in a.nums], [c % p for c in b.nums], p)) == 1:
+        return ONE
     fa = _int_primitive(list(a.nums))
     fb = _int_primitive(list(b.nums))
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    p = GCD_PRIME
-    if fa[-1] % p and fb[-1] % p and len(_kernels.pm_gcd(
-            [c % p for c in fa], [c % p for c in fb], p)) == 1:
-        return ONE
     while fb:
         # a rational multiple of the pseudo-remainder: same primitive part
         rem = poly_divrem(Poly.make(fa, 1), Poly.make(fb, 1))[1]

@@ -43,6 +43,8 @@ def _monic_den(num: Poly, den: Poly) -> RatFun:
         raise ZeroDenominatorError("zero denominator")
     if num.is_zero:
         return RatFun(ZERO, ONE)
+    if den.nums[-1] == den.den:  # already monic
+        return RatFun(num, den)
     return RatFun(num.scale(Fraction(den.den, den.nums[-1])), den.monic())
 
 

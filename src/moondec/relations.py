@@ -254,21 +254,27 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
             yield rel
 
 
-def find_relation(s1: QSeries, s2: QSeries, e: int):
-    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None."""
-    return next(_scan(s1, s2, e, False), None)
+def find_relation(s1: QSeries, s2: QSeries, e: int,
+                  powers: list[GeneralLaurent] | None = None):
+    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None.
+    ``powers``, a table of s2's powers from s2^0, is grown and shared, so
+    that scans of one s2 at several degrees build each power once."""
+    return next(_scan(s1, s2, e, False, powers), None)
 
 
 def find_all_relations(s1: QSeries, s2: QSeries, e: int,
-                       skip_underdetermined: bool = False) -> list[Relation]:
+                       skip_underdetermined: bool = False,
+                       powers: list[GeneralLaurent] | None = None
+                       ) -> list[Relation]:
     """Every r in 1..e admitting a verified relation (exhaustive mode).
 
     An underdetermined system at some r propagates as an error by default;
     with skip_underdetermined the scan records nothing for that r and
     keeps going, so that relations at other powers (the multi-relation
-    case feeding modular polynomials) are still reported.
+    case feeding modular polynomials) are still reported.  ``powers`` is
+    shared as in find_relation.
     """
-    return list(_scan(s1, s2, e, skip_underdetermined))
+    return list(_scan(s1, s2, e, skip_underdetermined, powers))
 
 
 def lowest_degree_relations(sources, s2: QSeries, emax: int):

@@ -190,9 +190,12 @@ class QSeries:
 
     @staticmethod
     def from_coeffs(values) -> QSeries:
-        """The series 1/q + sum values[k] q^k for ints/Fractions values."""
-        values = list(values)
-        return QSeries(GeneralLaurent.make(-1, [1] + values, len(values) - 1))
+        """The series 1/q + sum values[k] q^k for ints/Fractions values.
+        Its body is built once: it leads with 1 and spans q^-1..q^prec, so
+        the canonical Poly of [1, *values] is already the canonical body."""
+        coeffs = [1, *values]
+        return QSeries(GeneralLaurent(-1, Poly.from_coeffs(coeffs),
+                                      len(coeffs) - 2))
 
     @property
     def prec(self) -> int:

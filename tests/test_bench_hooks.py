@@ -19,11 +19,15 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _load_module("perfbench_tracer", TRACER)
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -231,3 +235,57 @@ def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
     assert len(tables) == 1
     # the table starts at s2^0; every higher power is appended once
     assert sum(built) == len(tables[0]) - 1 <= 12
+
+
+def test_relate_emax_builds_each_power_of_the_target_once(
+        monkeypatch, capsys, moonshine_catalog_path):
+    # with no natural area quotient, relate --emax scans every degree up
+    # to the bound; one table of the target's powers serves them all
+    from moondec import cli, relations
+    prec = _bundled_series(moonshine_catalog_path)["1A"].prec
+    tables, built = [], []
+    series_powers = relations.series_powers
+
+    def counting_powers(s, top, powers=None):
+        before = len(powers) if powers is not None else 1
+        out = series_powers(s, top, powers)
+        if s.prec == prec:
+            if not any(out is t for t in tables):
+                tables.append(out)
+            built.append(len(out) - before)
+        return out
+
+    monkeypatch.setattr(relations, "series_powers", counting_powers)
+    code = cli.main(["relate", "--catalog", str(moonshine_catalog_path),
+                     "--from", "9B", "--to", "1A", "--emax", "12"])
+    assert (code, capsys.readouterr().out) == (3, "none\n")
+    assert len(tables) == 1
+    # the table starts at 1A^0; every higher power is appended once
+    assert sum(built) == len(tables[0]) - 1 == 12
+
+
+def test_refined_benchmark_graph_reads_literals_one_by_one_only_for_x1(
+        monkeypatch):
+    # integer coefficient lists are read in bulk: of the refined graph of
+    # the benchmark's catalog, only X1 = 5B - 65/11 goes through
+    # _parse_rational, once per coefficient
+    from moondec import graph
+    gen = _load_module("perfbench_gen", TRACER.with_name("gen.py"))
+    catalog = graph.load_catalog(gen.jsonl(gen.catalog_records()))
+    refined, _ = graph.refine_graph(graph.build_graph(catalog, 30)[0])
+    doc = graph.export_graph(refined, "jsonlines")
+    lines = doc.decode().splitlines()
+    x1 = 1 + next(i for i, line in enumerate(lines) if '"name":"X1"' in line)
+    assert "-65/11" in lines[x1 - 1]
+    seen = []
+    inner = graph._parse_rational
+
+    def counting(text, lineno):
+        seen.append(lineno)
+        return inner(text, lineno)
+
+    monkeypatch.setattr(graph, "_parse_rational", counting)
+    assert graph.load_graph(doc) == refined
+    assert (len(refined.nodes), len(refined.edges)) == (12, 14)
+    assert set(seen) == {x1}
+    assert len(seen) == gen.CATALOG_PREC + 1

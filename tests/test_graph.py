@@ -746,3 +746,77 @@ def test_non_ascii_digits_in_a_rational_are_a_parse_error(
     assert (code, out) == (2, "")
     assert err.startswith(
         f"error: parse-error: line {lineno}: not a rational literal: ")
+
+
+@pytest.mark.parametrize("field", ["coeffs", "area", "lead", "node"])
+def test_literals_with_a_trailing_newline_are_a_parse_error(
+        capsys, tmp_path, moonshine_catalog_path, field):
+    """A rational is -?[0-9]+(/[0-9]+)? and nothing more: '$' also matches
+    before a final newline, so the literal regex must match the whole
+    text."""
+    rec = {"name": "A", "area": "1", "coeffs": ["744", "0"]}
+    if field == "coeffs":
+        rec["coeffs"][0] = "744\n"
+    elif field == "lead":
+        rec["lead"] = "1\n"
+    else:
+        rec["area"] = "1\n"
+    doc = tmp_path / "doc.jsonl"
+    doc.write_text("# one record\n" + json.dumps(rec) + "\n", encoding="utf-8")
+    lineno = 2
+    argv = ["relate", "--catalog", str(doc), "--from", "A", "--to", "A"]
+    if field == "node":
+        graph = tmp_path / "graph.jsonl"
+        assert main(["graph-build", "--catalog", str(moonshine_catalog_path),
+                     "--out", str(graph)]) == 0
+        lines = graph.read_text(encoding="utf-8").splitlines()
+        lineno = 1 + next(i for i, line in enumerate(lines)
+                          if line.startswith('{"type":"node"'))
+        node = json.loads(lines[lineno - 1])
+        node["coeffs"][0] += "\n"
+        lines[lineno - 1] = json.dumps(node)
+        doc.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["chains", "--in", str(doc), "--from", "1A", "--to", "9B"]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: parse-error: line {lineno}: not a rational literal: ")
+    assert err.rstrip("\n").endswith("\\n'")
+
+
+def _coeffs_or_error(read, value):
+    """The values with their types, or the CatalogParseError's text and
+    line."""
+    try:
+        coeffs = read(value, 7)
+    except CatalogParseError as exc:
+        return "error", str(exc), exc.line
+    return [(type(c), c) for c in coeffs]
+
+
+def _per_item(value, lineno):
+    from moondec.graph import _parse_rational
+    return [_parse_rational(c, lineno) for c in value]
+
+
+def test_bulk_coefficient_read_matches_the_per_item_loop():
+    """_parse_coeffs reads integer lists in bulk; on every list it must
+    give what _parse_rational gives entry by entry, or the same error."""
+    from moondec.graph import _parse_coeffs
+    long_literal = "7" * 5000  # over int()'s default digit limit
+    odd = ["٣", "+5", " 5", "5\n", "1,2", "-0", "007", "1/0", "", "-",
+           "5-3", "1_000", "\ud800", long_literal, 5, None, [1], 2.5]
+    cases = [[], ["744", "-196884", "0", "21493760"],
+             ["744", "-65/11", "0", "3/4"]]
+    cases += [[v] for v in odd] + [["1", v, "-2"] for v in odd]
+    rng = random.Random(26)
+    alphabet = "0123456789--/ +\n,٣"
+    cases += [["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+               for _ in range(rng.randint(1, 4))] for _ in range(500)]
+    for value in cases:
+        assert _coeffs_or_error(_parse_coeffs, value) == \
+            _coeffs_or_error(_per_item, value), value
+    with pytest.raises(CatalogParseError, match="coeffs must be an array"):
+        _parse_coeffs("744", 7)

@@ -284,10 +284,24 @@ def sympy_gcd(a, b):
     return [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
 
 
-def test_gcd_matches_sympy_on_planted_common_factors():
+def _count_certificates(monkeypatch):
+    """A list that gets one entry per Euclid run modulo GCD_PRIME."""
+    calls = []
+    pm_gcd = polynomials._kernels.pm_gcd
+
+    def counting(a, b, p):
+        calls.append(p)
+        return pm_gcd(a, b, p)
+
+    monkeypatch.setattr(polynomials._kernels, "pm_gcd", counting)
+    return calls
+
+
+def test_gcd_matches_sympy_on_planted_common_factors(monkeypatch):
     # leads that are multiples of GCD_PRIME drop a degree mod the prime:
     # on a common factor (kind 0) the images can be coprime although the
     # inputs are not, so the certificate must not run there
+    certificates = _count_certificates(monkeypatch)
     rng = random.Random(61)
 
     def factor_coeffs(degree, lead):
@@ -311,3 +325,37 @@ def test_gcd_matches_sympy_on_planted_common_factors():
         assert list(got.coeffs) == sympy_gcd(a, b)
         assert got.degree >= len(g) - 1
         assert poly_gcd(b, a) == got
+        # a lead divisible by the prime skips the Euclid run mod the prime;
+        # with small leads it runs, finds the common factor and falls back
+        assert certificates == [GCD_PRIME] * (2 if kind == 2 else 0)
+        certificates.clear()
+
+
+@pytest.mark.parametrize("pair", [
+    ([-1, 1], [-1 - GCD_PRIME, 1]),
+    ([-2, 1, 1], [-3 - 3 * GCD_PRIME, 2 - GCD_PRIME, 1]),
+    ([1, 0, 1], [1 + GCD_PRIME, GCD_PRIME, 1]),
+    ([GCD_PRIME + 5, 3, 0, 7], [5, 3 + 2 * GCD_PRIME, 0, 7]),
+])
+def test_pair_coprime_over_q_but_not_mod_the_prime_takes_the_prs(
+        monkeypatch, pair):
+    # the images share a factor modulo GCD_PRIME although the inputs are
+    # coprime: Euclid modulo the prime proves nothing, and the PRS still
+    # returns ONE
+    a, b = (Poly.from_coeffs(c) for c in pair)
+    assert len(polynomials._kernels.pm_gcd(
+        [c % GCD_PRIME for c in a.nums], [c % GCD_PRIME for c in b.nums],
+        GCD_PRIME)) > 1
+    certificates = _count_certificates(monkeypatch)
+    divisions = []
+    divrem = polynomials.poly_divrem
+
+    def counting(a, b):
+        divisions.append(1)
+        return divrem(a, b)
+
+    monkeypatch.setattr(polynomials, "poly_divrem", counting)
+    for x, y in ((a, b), (b.scale(Fraction(-2, 3)), a)):
+        assert poly_gcd(x, y) == ONE
+        assert sympy_gcd(x, y) == [1]
+    assert certificates == [GCD_PRIME] * 2 and divisions
