@@ -115,21 +115,24 @@ def pm_divrem(a, b, p):
     return pm_trim(quot), pm_trim(rem[:db])
 
 
+def pm_rem(a, b, p):
+    """Remainder of ``a`` by nonzero ``b`` modulo ``p``, without a quotient."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for top in range(len(a) - 1 - db, -1, -1):
+        c = a[top + db] * inv % p
+        if c:
+            for j in range(db):
+                a[top + j] = (a[top + j] - c * b[j]) % p
+    return pm_trim(a[:db])
+
+
 def pm_gcd(a, b, p):
-    """Monic gcd of ``a`` and ``b`` modulo ``p`` (empty when both are 0).
-    Each Euclid step reduces ``a`` by ``b`` in place and keeps no
-    quotient."""
-    a, b = list(a), list(b)
+    """Monic gcd of ``a`` and ``b`` modulo ``p`` (empty when both are 0)."""
     while b:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for top in range(len(a) - 1 - db, -1, -1):
-            c = a[top + db] * inv % p
-            if c:
-                for j in range(db):
-                    a[top + j] = (a[top + j] - c * b[j]) % p
-        a, b = b, pm_trim(a[:db])
-    return pm_monic(a, p) if a else a
+        a, b = b, pm_rem(a, b, p)
+    return pm_monic(a, p) if a else []
 
 
 def pm_rank(rows, p):

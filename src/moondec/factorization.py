@@ -30,7 +30,7 @@ from math import comb, isqrt
 from random import Random
 
 from moondec import _kernels
-from moondec._kernels import pm_divrem, pm_gcd, pm_monic, pm_trim
+from moondec._kernels import pm_divrem, pm_gcd, pm_monic, pm_rem, pm_trim
 from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
@@ -77,11 +77,11 @@ def _pm_deriv(a, p):
 
 def _pm_powmod(base, e, mod, p):
     result = [1]
-    base = pm_divrem(base, mod, p)[1]
+    base = pm_rem(base, mod, p)
     while e:
         if e & 1:
-            result = pm_divrem(_pm_mul(result, base, p), mod, p)[1]
-        base = pm_divrem(_pm_mul(base, base, p), mod, p)[1]
+            result = pm_rem(_pm_mul(result, base, p), mod, p)
+        base = pm_rem(_pm_mul(base, base, p), mod, p)
         e >>= 1
     return result
 

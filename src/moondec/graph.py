@@ -23,6 +23,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from moondec.bivariate import PolyOverPoly
 from moondec.decompose import decompose_one_level
@@ -38,7 +39,7 @@ from moondec.errors import (
     VerificationFailureError,
 )
 from moondec.parsing import parse_ratfun
-from moondec.polynomials import Poly
+from moondec.polynomials import Poly, combine
 from moondec.ratfun import RatFun, compose, ratfun_text, unit, unit_inverse
 from moondec.relations import _diff_series, degree_from_areas, find_relation
 from moondec.series import (
@@ -504,9 +505,12 @@ def modular_polynomial(f1: RatFun, k1: int, f2: RatFun, k2: int) -> PolyOverPoly
     """
     if k1 == k2:
         raise IdenticalPowersError("the two powers must differ")
-    top = max(len(f1.num.nums), len(f1.den.nums)) - 1
-    coeffs = [f2.den.scale(f1.num.coeff(i)) - f2.num.scale(f1.den.coeff(i))
-              for i in range(top + 1)]
+    # times the positive constant den(num f1) * den(den f1), which
+    # content_reduced divides out
+    a, b = f1.num, f1.den
+    coeffs = [Poly.make(*combine(((ai * b.den, 0, f2.den),
+                                  (-bi * a.den, 0, f2.num))))
+              for ai, bi in zip_longest(a.nums, b.nums, fillvalue=0)]
     return PolyOverPoly.from_coeffs(coeffs).content_reduced()
 
 

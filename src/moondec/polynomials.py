@@ -6,9 +6,12 @@ the highest stored numerator is nonzero, ``den > 0`` and
 ``gcd(den, *nums) == 1``.  The zero polynomial is ``Poly((), 1)``.  Equal
 values therefore have equal fields, so dataclass equality and hashing are
 value equality.  All arithmetic runs on the integers; ``coeffs`` is a
-derived ``Fraction`` view for text output and sort keys.  The degree of the
-zero polynomial is ``MINUS_INFINITY``, -infinity, so deg(p*q) = deg p + deg q
-holds for zero factors too.
+derived ``Fraction`` view for text output and sort keys.  Every exact sum
+in the package, of polynomials, series bodies, homogenized compositions,
+relation ansatzes and modular polynomials, is one call of ``combine``:
+integer multiples of numerators over the lcm of their denominators.  The
+degree of the zero polynomial is ``MINUS_INFINITY``, -infinity, so
+deg(p*q) = deg p + deg q holds for zero factors too.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ def mul_fraction_seqs(a, b, trunc=0):
     ``trunc > 0``; the one entry point of every exact product."""
     (ia, da), (ib, db) = a, b
     return _kernels.poly_mul(ia, ib, 0, trunc), da * db
+
+
+def combine(terms, size=inf):
+    """The numerators and denominator ``(nums, den)`` of sum w * x^s * p
+    over terms ``(w, s, p)``: int weights w, shifts s >= 0 and ``Poly`` p;
+    den is the lcm of the denominators of the terms with w and p nonzero,
+    and nums is cut to its first ``size`` entries.  The result is not
+    canonical."""
+    live = [(w, s, p) for w, s, p in terms if w and p.nums]
+    den = lcm(*(p.den for _, _, p in live))
+    size = min(max((s + len(p.nums) for _, s, p in live), default=0), size)
+    out = [0] * max(size, 0)
+    for w, s, p in live:
+        m = w * (den // p.den)
+        for i, c in enumerate(p.nums[:max(size - s, 0)], s):
+            out[i] += m * c
+    return out, den
 
 
 @dataclass(frozen=True)
@@ -101,29 +121,13 @@ class Poly:
         return Fraction(0)
 
     def __add__(self, other: Poly) -> Poly:
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        a, b, den = self.nums, other.nums, self.den
-        if den != other.den:
-            g = gcd(den, other.den)
-            ma, mb = other.den // g, den // g
-            a = [n * ma for n in a]
-            b = [n * mb for n in b]
-            den *= ma
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly.make(out, den)
+        return Poly.make(*combine(((1, 0, self), (1, 0, other))))
 
     def __neg__(self) -> Poly:
         return Poly(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return Poly.make(*combine(((1, 0, self), (-1, 0, other))))
 
     def __mul__(self, other: Poly) -> Poly:
         if self == ONE:

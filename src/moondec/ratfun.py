@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 from moondec.errors import (
     ConstantInnerError,
@@ -28,6 +28,7 @@ from moondec.polynomials import (
     ZERO,
     Poly,
     X,
+    combine,
     poly_exact_div,
     poly_gcd,
     poly_text,
@@ -138,25 +139,14 @@ def power_basis(h: RatFun, m: int) -> list[Poly]:
     return [hn_pow[i] * hd_pow[m - i] for i in range(m + 1)]
 
 
-def _combination(ints: tuple[int, ...], basis: list[Poly]) -> Poly:
-    """sum ints[i] * basis[i], over the lcm of the basis denominators."""
-    terms = [(c, b) for c, b in zip(ints, basis) if c]
-    den = lcm(*(b.den for _, b in terms))
-    out = [0] * max((len(b.nums) for _, b in terms), default=0)
-    for c, b in terms:
-        m = c * (den // b.den)
-        for k, n in enumerate(b.nums):
-            out[k] += m * n
-    return Poly.make(out, den)
-
-
 def _homogenized(g: RatFun, basis: list[Poly]) -> RatFun:
     """g o h from basis = power_basis(h, deg g), by the homogenized sums
-    num(g)_i * basis[i] and den(g)_i * basis[i]; the common denominators of
-    num(g) and den(g) only scale the two sums."""
-    num = _combination(g.num.nums, basis)
-    den = _combination(g.den.nums, basis)
-    return _monic_den(num.scale(Fraction(g.den.den, g.num.den)), den)
+    num(g)_i * basis[i] and den(g)_i * basis[i], each over the common
+    denominator of its polynomial of g."""
+    num, nden = combine((c, 0, b) for c, b in zip(g.num.nums, basis))
+    den, dden = combine((c, 0, b) for c, b in zip(g.den.nums, basis))
+    return _monic_den(Poly.make(num, nden * g.num.den),
+                      Poly.make(den, dden * g.den.den))
 
 
 def compose(g: RatFun, h: RatFun) -> RatFun:

@@ -50,7 +50,13 @@ from moondec.errors import (
     NonPositiveAreaError,
     UnderdeterminedSystemError,
 )
-from moondec.polynomials import Poly, mul_fraction_seqs, poly_gcd
+from moondec.polynomials import (
+    Poly,
+    clear_denominators,
+    combine,
+    mul_fraction_seqs,
+    poly_gcd,
+)
 from moondec.ratfun import RatFun
 from moondec.series import (
     GeneralLaurent,
@@ -176,8 +182,10 @@ def _padded(nums, length):
 
 
 def _assemble(polys: list[Poly], sol: list[Fraction]):
-    num = sum((p.scale(b) for p, b in zip(polys, sol)), polys[-1])
-    den = Poly.from_coeffs(list(sol) + [Fraction(1)])
+    ints, mult = clear_denominators([*sol, 1])
+    nums, common = combine((b, 0, p) for b, p in zip(ints, polys))
+    num = Poly.make(nums, common * mult)
+    den = Poly.make(ints, mult)
     if poly_gcd(num, den).degree > 0:
         return None  # reducible ansatz: the true relation has lower degree
     return RatFun(num, den)

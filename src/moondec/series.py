@@ -24,8 +24,9 @@ Two kinds of value:
 Certified-precision rules: add/sub take the min; a product is certified
 through min(prec_a + lead_b, prec_b + lead_a); a quotient through
 min(prec_a - lead_b, prec_b - 2*lead_b + lead_a).  Every sum, difference
-included, goes through ``combine_powers``, which writes the rule for sums
-once: the least precision over the terms with a nonzero weight.
+included, goes through ``combine_powers``, which writes the precision rule
+for sums once: the least precision over the terms with a nonzero weight;
+``polynomials.combine`` adds the bodies.
 
 Division and ``inner_series_solve`` are Newton iterations on kernel
 products (Brent & Kung, JACM 1978): each step doubles the exact length.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt
 
 from moondec.errors import (
     EmptyPrecisionError,
@@ -53,7 +54,7 @@ from moondec.errors import (
     VerificationFailureError,
     ZeroSeriesError,
 )
-from moondec.polynomials import ONE, ZERO, Poly, mul_fraction_seqs
+from moondec.polynomials import ONE, ZERO, Poly, combine, mul_fraction_seqs
 from moondec.ratfun import RatFun
 
 EXACT = inf  # the precision of an exactly known, finitely supported series
@@ -257,16 +258,8 @@ def combine_powers(nums, den: int, powers) -> GeneralLaurent:
     if not live:
         return GeneralLaurent(prec + 1, ZERO, prec)
     lo = min(p.lead for _, p in live)
-    size = max(p.lead - lo + len(p.body.nums) for _, p in live)
-    if prec != EXACT:
-        size = min(size, prec - lo + 1)
-    common = lcm(*(p.body.den for _, p in live))
-    out = [0] * max(size, 0)
-    for n, p in live:
-        m = n * (common // p.body.den)
-        shift = p.lead - lo
-        for i, c in enumerate(p.body.nums[:max(size - shift, 0)], shift):
-            out[i] += m * c
+    out, common = combine(((n, p.lead - lo, p.body) for n, p in live),
+                          prec - lo + 1)
     return _series(lo, out, common * den, prec)
 
 

@@ -101,7 +101,7 @@ def test_criterion_1b_chain_count_as_stated(flagship):
 
 
 def test_criterion_2_bundled_j_coefficients(moonshine_catalog_path):
-    entries = load_catalog(open(moonshine_catalog_path, "rb"))
+    entries = load_catalog(moonshine_catalog_path.read_bytes())
     j = next(e for e in entries if e.name == "1A")
     expected = [744, 196884, 21493760, 864299970, 20245856256]
     assert list(j.series.coeffs[:5]) == expected
@@ -113,7 +113,7 @@ def test_criterion_2_bundled_j_coefficients(moonshine_catalog_path):
 
 def test_criterion_3_moonshine_round_trip(flagship, moonshine_catalog_path):
     start = time.monotonic()
-    entries = load_catalog(open(moonshine_catalog_path, "rb"))
+    entries = load_catalog(moonshine_catalog_path.read_bytes())
     j = next(e for e in entries if e.name == "1A").series
     assert j.prec >= 25
     target = substitute_power(j, 3)
@@ -150,7 +150,7 @@ def test_criterion_3_moonshine_round_trip(flagship, moonshine_catalog_path):
            "recovered by the exhaustive all-r search")
 def test_criterion_3b_first_success_returns_r3_as_stated(
         flagship, moonshine_catalog_path):
-    entries = load_catalog(open(moonshine_catalog_path, "rb"))
+    entries = load_catalog(moonshine_catalog_path.read_bytes())
     j = next(e for e in entries if e.name == "1A").series
     partner = inner_series_solve(flagship, substitute_power(j, 3))
     rel = find_relation(j.truncate(25), partner.truncate(25), 12)

@@ -313,7 +313,7 @@ def test_refine_flagship_edge(flagship, moonshine_catalog_path):
     1A and 9B series refines into all three complete chains: the 9B series
     is supported on exponents = 2 (mod 3), so even the x^3-inner split
     re-indexes cleanly (its cube is supported on multiples of 3)."""
-    catalog = load_catalog(open(moonshine_catalog_path, "rb"))
+    catalog = load_catalog(moonshine_catalog_path.read_bytes())
     nodes = tuple(GraphNode(c.name, c.series, "catalog") for c in catalog)
     graph = RelationGraph(nodes, (GraphEdge("1A", "9B", 12, 3, flagship),))
     refined, report = refine_graph(graph)
@@ -552,24 +552,26 @@ def test_modular_polynomial_formula():
 
 def test_modular_polynomial_is_shared_value_resultant():
     """The cross-product formula equals the resultant eliminating the
-    shared series value t from f1(x) = t = f2(y)."""
+    shared series value t from f1(x) = t = f2(y); the second f1 has a
+    numerator and a denominator with different non-integer denominators."""
     import sympy as sp
     t, x, y = sp.symbols("t x y")
-    f1 = parse_ratfun("(x^2+3*x+1)/(x+4)")
-    f2 = parse_ratfun("x^2+4*x+2")
-    p = modular_polynomial(f1, 1, f2, 2)
 
     def poly_sym(poly, var):
         return sum(sp.Rational(c) * var ** i
                    for i, c in enumerate(poly.coeffs))
 
-    a = poly_sym(f1.num, x) - t * poly_sym(f1.den, x)
-    b = poly_sym(f2.num, y) - t * poly_sym(f2.den, y)
-    eliminated = sp.expand(sp.resultant(a, b, t))
-    mine = sp.expand(sum(poly_sym(c, y) * x ** i
-                         for i, c in enumerate(p.coeffs)))
-    ratio = sp.simplify(eliminated / mine)
-    assert ratio.is_constant() and ratio != 0
+    for f1_text, f2_text in (("(x^2+3*x+1)/(x+4)", "x^2+4*x+2"),
+                             ("(x^2/3+x+1/2)/(x+5/7)", "(x^2/2+4*x)/(x+1/3)")):
+        f1, f2 = parse_ratfun(f1_text), parse_ratfun(f2_text)
+        p = modular_polynomial(f1, 1, f2, 2)
+        a = poly_sym(f1.num, x) - t * poly_sym(f1.den, x)
+        b = poly_sym(f2.num, y) - t * poly_sym(f2.den, y)
+        eliminated = sp.expand(sp.resultant(a, b, t))
+        mine = sp.expand(sum(poly_sym(c, y) * x ** i
+                             for i, c in enumerate(p.coeffs)))
+        ratio = sp.simplify(eliminated / mine)
+        assert ratio.is_constant() and ratio != 0
 
 
 def test_bivariate_text():
@@ -588,7 +590,7 @@ def test_modular_polynomial_vanishes_on_planted_double():
 # -- export / import ----------------------------------------------------------------
 
 def test_export_dot_shape(flagship, moonshine_catalog_path):
-    catalog = load_catalog(open(moonshine_catalog_path, "rb"))
+    catalog = load_catalog(moonshine_catalog_path.read_bytes())
     nodes = tuple(GraphNode(c.name, c.series, "catalog") for c in catalog)
     graph = RelationGraph(nodes, (GraphEdge("1A", "9B", 12, 3, flagship),))
     text = export_graph(graph, "dot").decode()

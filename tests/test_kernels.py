@@ -178,3 +178,26 @@ def test_kronecker_substitution_matches_naive_on_both_sides_of_the_crossover(
         assert taken == []
     assert kronecker([0, 0], [0, 5, 0], 4) == [0, 0, 0, 0]
     assert kronecker([-1], [-1], 1) == [1]
+
+
+def test_pm_rem_is_the_remainder_of_pm_divrem():
+    """pm_rem against pm_divrem's remainder on seeded inputs, including
+    a = [] and deg a < deg b; the inputs are left as they were."""
+    rng = random.Random(2702)
+    for p in (3, 5, 32749):
+        cases = [([], [1]), ([], [2, 0, 1]), ([1, 2], [0, 0, 1]),
+                 ([1], [1]), ([0, 1], [1, 1])]
+        for _ in range(200):
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 7))]
+            b.append(rng.randrange(1, p))
+            a = _kernels.pm_trim([rng.randrange(p)
+                                  for _ in range(rng.randint(0, 14))])
+            cases.append((a, b))
+        shorter = 0
+        for a, b in cases:
+            a = [c % p for c in a]
+            a_copy, b_copy = list(a), list(b)
+            assert _kernels.pm_rem(a, b, p) == _kernels.pm_divrem(a, b, p)[1]
+            assert (a, b) == (a_copy, b_copy)
+            shorter += len(a) < len(b)
+        assert shorter > 10

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from moondec.polynomials import (
     ZERO,
     Poly,
     X,
+    combine,
     poly_divrem,
     poly_gcd,
     poly_text,
@@ -359,3 +360,51 @@ def test_pair_coprime_over_q_but_not_mod_the_prime_takes_the_prs(
         assert poly_gcd(x, y) == ONE
         assert sympy_gcd(x, y) == [1]
     assert certificates == [GCD_PRIME] * 2 and divisions
+
+
+def _fraction_combination(terms, size):
+    """sum w * x^s * p with plain Fractions: (the length combine must
+    return, the coefficients)."""
+    live = [(w, s, p) for w, s, p in terms if w and not p.is_zero]
+    length = max(0, min(max((s + len(p.coeffs) for _, s, p in live),
+                            default=0), size))
+    out = [Fraction(0)] * length
+    for w, s, p in live:
+        for i, c in enumerate(p.coeffs, s):
+            if i < length:
+                out[i] += w * c
+    return length, out
+
+
+def test_combine_matches_fraction_arithmetic():
+    """combine against plain Fraction sums on seeded terms: mixed
+    denominators, zero weights, zero polynomials and shifts, cut below a
+    shift, at or below zero and beyond the support."""
+    rng = random.Random(2701)
+    dens = [1, 1, 2, 3, 4, 7, 9, 2 ** 70 + 1]
+    cases = [[], [(0, 0, P(1, 2)), (0, 3, P(Fraction(1, 3)))],
+             [(5, 2, ZERO), (-1, 0, ZERO)]]
+    weights = [0, 1, -1, 3, 10 ** 20, -(10 ** 20) + 7]
+    for _ in range(300):
+        cases.append([(rng.choice(weights), rng.randint(0, 5),
+                       Poly.from_coeffs(
+                           [Fraction(rng.choice([0, rng.randint(-9, 9)]),
+                                     rng.choice(dens))
+                            for _ in range(rng.randint(0, 6))]))
+                      for _ in range(rng.randint(0, 4))])
+    for terms in cases:
+        for size in (float("inf"), -2, 0, 1, 3, 8, 20):
+            length, expect = _fraction_combination(terms, size)
+            nums, den = combine(iter(terms), size)
+            assert den == lcm(*(p.den for w, _, p in terms
+                                if w and not p.is_zero))
+            assert len(nums) == length
+            assert [Fraction(n, den) for n in nums] == expect
+    assert combine([]) == ([], 1)
+    assert combine([(0, 0, P(1, 2))]) == ([], 1)
+    assert combine([(3, 4, P(Fraction(1, 2)))], 2) == ([0, 0], 2)
+    assert combine([(1, 1, P(1, Fraction(1, 3))), (-2, 0, P(5))]) == (
+        [-30, 3, 1], 3)
+    assert combine([(1, 0, P(1))], -1) == ([], 1)
+    # the sum is not canonical: a cancelled top entry stays
+    assert combine([(1, 0, X), (-1, 0, X)]) == ([0, 0], 1)
