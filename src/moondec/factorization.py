@@ -1,20 +1,32 @@
 """Factorization over the rationals.
 
-Pipeline: clear to integers, squarefree-decompose (Yun), take the primitive
-integer polynomial f of each squarefree part, reduce modulo the smallest
-prime >= 3 that keeps f squarefree and of full degree, split by
+Pipeline: clear to integers, squarefree-decompose (Yun), split off the
+factor x of a squarefree part with constant term 0, take the primitive
+integer polynomial f of degree n of what remains, reduce modulo the
+smallest prime >= 3 that keeps f squarefree and of full degree, split by
 distinct-degree factorization and Cantor-Zassenhaus equal-degree splitting,
 and Hensel-lift the factors of the monic f/lc(f) to the first power of p
-above 2*B, where B = |lc(f)| * C(n, n//2) * ||f||_2 bounds every
-coefficient of lc(f)/lc(u) * u for an integer factor u of f.
+above 2*B, B = C(n, n//2) * ||f||_2, through a tree balanced by degree.
+
 Recombination is Zassenhaus subset search with the leading coefficient
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15): a subset's
-product times lc of the remaining cofactor, in the symmetric range mod p^l,
-is tried as a factor through its primitive part, and accepted when it
-divides the remaining cofactor over Q (the quotient of a primitive divisor
-lies in Z[x] by Gauss's lemma).  Everything is deterministic: prime choice,
-the seeded trial elements of the equal-degree split, subset enumeration and
-the final factor ordering.
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15): for a subset S
+of the lifted monic factors u_i of the remaining cofactor c, the product
+lc(c) * prod_S u_i, in the symmetric range mod p^l, is tried as a factor
+through its primitive part, and accepted when it divides c over Q (the
+quotient of a primitive divisor lies in Z[x] by Gauss's lemma).
+
+Why B needs no factor |lc(f)|: when S gives a true primitive factor g of c,
+with h = c/g in Z[x], the product is congruent to lc(h) * g mod p^l.  With
+M the Mahler measure, M(lc(h) * g) = |lc(h)| * M(g) <= M(h) * M(g) = M(c);
+M(c) <= M(f), since every factor already split off is a nonconstant
+integer polynomial with M >= 1; and M(f) <= ||f||_2 (Landau).  Each
+coefficient of a polynomial P of degree d <= n obeys |P_i| <= C(d, i) * M(P)
+<= C(n, n//2) * M(P) (Mignotte), so every coefficient of lc(h) * g is at
+most B in absolute value.  Hence p^l > 2*B recovers each true factor
+exactly, and a cofactor that no subset divides is irreducible.
+
+Everything is deterministic: prime choice, the seeded trial elements of
+the equal-degree split, subset enumeration and the final factor ordering.
 
 Degrees in this problem domain reach the seventies, which is far beyond
 naive coefficient search but comfortable for Zassenhaus recombination (the
@@ -34,6 +46,7 @@ from moondec._kernels import pm_divrem, pm_gcd, pm_monic, pm_rem, pm_trim
 from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.polynomials import (
     Poly,
+    X,
     _int_primitive,
     poly_divrem,
     squarefree_decomposition,
@@ -172,21 +185,38 @@ def _hensel_pair(f, g, h, s, t, p, target):
 
 
 def _hensel_lift_all(f, mod_factors, p, target):
-    """Lift a list of pairwise-coprime monic factors of monic f mod p;
-    f is reduced mod target."""
+    """Lift a list of pairwise-coprime monic factors of monic f mod p to
+    mod target, f reduced mod target; the lifts come back in the order of
+    mod_factors.
+
+    A pair lift at a node of degree n costs about n^2, so the tree is
+    balanced by degree: largest first, each factor joins the group of lower
+    degree sum (ties to the left), and a large factor is lifted only near
+    the root instead of at every level."""
     if len(mod_factors) == 1:
         return [f]
-    half = len(mod_factors) // 2
-    g = [1]
-    for mf in mod_factors[:half]:
-        g = _pm_mul(g, mf, p)
-    h = [1]
-    for mf in mod_factors[half:]:
-        h = _pm_mul(h, mf, p)
-    s, t = _pm_bezout(g, h, p)
-    g, h = _hensel_pair(f, g, h, s, t, p, target)
-    return (_hensel_lift_all(g, mod_factors[:half], p, target)
-            + _hensel_lift_all(h, mod_factors[half:], p, target))
+    groups, sums = ([], []), [0, 0]
+    for i in sorted(range(len(mod_factors)),
+                    key=lambda i: -len(mod_factors[i])):
+        k = int(sums[1] < sums[0])
+        groups[k].append(i)
+        sums[k] += len(mod_factors[i]) - 1
+    groups = [sorted(group) for group in groups]
+    nodes = []
+    for group in groups:
+        prod = [1]
+        for i in group:
+            prod = _pm_mul(prod, mod_factors[i], p)
+        nodes.append(prod)
+    s, t = _pm_bezout(*nodes, p)
+    nodes = _hensel_pair(f, *nodes, s, t, p, target)
+    lifted = [None] * len(mod_factors)
+    for group, node in zip(groups, nodes):
+        sub = _hensel_lift_all(node, [mod_factors[i] for i in group],
+                               p, target)
+        for i, u in zip(group, sub):
+            lifted[i] = u
+    return lifted
 
 
 # -- recombination -------------------------------------------------------------
@@ -257,6 +287,8 @@ def _factor_squarefree(g: Poly) -> list[Poly]:
     """Irreducible monic factors of a monic squarefree polynomial."""
     if g.degree == 1:
         return [g]
+    if not g.nums[0]:  # x divides g: one less modular factor to lift
+        return [X, *_factor_squarefree(Poly(g.nums[1:], g.den))]
     f = _int_primitive(list(g.nums))
     lead, n = f[-1], len(f) - 1
     p = _choose_prime(f)
@@ -264,7 +296,7 @@ def _factor_squarefree(g: Poly) -> list[Poly]:
     if len(mod_factors) == 1:
         return [g]
     norm2 = isqrt(sum(c * c for c in f)) + 1
-    bound = lead * comb(n, n // 2) * norm2
+    bound = comb(n, n // 2) * norm2
     target = p
     while target <= 2 * bound:
         target *= p

@@ -555,7 +555,10 @@ def export_graph(graph: RelationGraph, fmt: str) -> bytes:
 
 
 def load_graph(source) -> RelationGraph:
-    """Re-ingest a jsonlines export; inverse of export_graph."""
+    """Re-ingest a jsonlines export; inverse of export_graph.
+
+    Each edge's labels must agree with its function: d with deg f and r
+    with the pole order deg num(f) - deg den(f) (see _verified_fully)."""
     nodes = []
     edges = []
     seen = set()
@@ -589,6 +592,11 @@ def load_graph(source) -> RelationGraph:
                 raise CatalogParseError(
                     f"edge {src}->{dst}: function degree {fun.degree} "
                     f"does not match label d={degree}", lineno)
+            order = fun.num.degree - fun.den.degree
+            if power != order:
+                raise CatalogParseError(
+                    f"edge {src}->{dst}: power r={power} is not the pole "
+                    f"order {order} of f", lineno)
             edges.append(GraphEdge(src, dst, degree, power, fun))
         else:
             raise CatalogParseError(f"unknown record type {kind!r}", lineno)

@@ -14,7 +14,6 @@ The value of a function at a pole is ``INFINITY``, the float infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 
 from moondec.errors import (
@@ -46,7 +45,8 @@ def _monic_den(num: Poly, den: Poly) -> RatFun:
         return RatFun(ZERO, ONE)
     if den.nums[-1] == den.den:  # already monic
         return RatFun(num, den)
-    return RatFun(num.scale(Fraction(den.den, den.nums[-1])), den.monic())
+    return RatFun(Poly.make([n * den.den for n in num.nums],
+                            num.den * den.nums[-1]), den.monic())
 
 
 @dataclass(frozen=True)

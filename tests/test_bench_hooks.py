@@ -289,3 +289,43 @@ def test_refined_benchmark_graph_reads_literals_one_by_one_only_for_x1(
     assert (len(refined.nodes), len(refined.edges)) == (12, 14)
     assert set(seen) == {x1}
     assert len(seen) == gen.CATALOG_PREC + 1
+
+
+def test_refine_degree_30_factor_lifts_its_largest_factor_only_at_the_root(
+        monkeypatch):
+    # graph-refine factors the normal form of the degree-30 edge 1A->25B of
+    # the benchmark's catalog; its numerator over x splits mod 7 into
+    # factors of degree [1, 4, 4, 20].  Balanced by degree, the root pair
+    # lift splits off the degree-20 factor, and no node below lifts it.
+    from moondec import factorization, graph, ratfun
+    from moondec._kernels import pm_monic
+    gen = _load_module("perfbench_gen", TRACER.with_name("gen.py"))
+    catalog = graph.load_catalog(gen.jsonl(gen.catalog_records()))
+    edge = next(e for e in graph.build_graph(catalog, 30)[0].edges
+                if (e.src, e.dst) == ("1A", "25B"))
+    num = ratfun.to_normal_form(edge.fun)[2].num
+    assert num.degree == 30
+    lifts, pairs = [], []
+    lift_all, pair = factorization._hensel_lift_all, factorization._hensel_pair
+
+    def record_lift(f, mod_factors, p, target):
+        lifted = lift_all(f, mod_factors, p, target)
+        lifts.append((f, mod_factors, p, target, lifted))
+        return lifted
+
+    def record_pair(f, g, h, *rest):
+        pairs.append((len(f) - 1, len(g) - 1, len(h) - 1))
+        return pair(f, g, h, *rest)
+
+    monkeypatch.setattr(factorization, "_hensel_lift_all", record_lift)
+    monkeypatch.setattr(factorization, "_hensel_pair", record_pair)
+    factorization.factor(num)
+    f, mod_factors, p, target, lifted = lifts[-1]  # the root call ends last
+    assert p == 7 and [len(u) - 1 for u in mod_factors] == [1, 4, 4, 20]
+    assert pairs == [(29, 20, 9), (9, 5, 4), (5, 4, 1)]
+    # the lifts come back in the order of mod_factors
+    assert [pm_monic([c % p for c in u], p) for u in lifted] == mod_factors
+    prod = [1]
+    for u in lifted:
+        prod = factorization._pm_mul(prod, u, target)
+    assert prod == f

@@ -312,8 +312,9 @@ def test_console_entry_point():
 def test_refine_rejects_an_edge_whose_power_is_not_its_pole_order(
         capsys, tmp_path, moonshine_catalog_path):
     """src(q^r) holds r times as many terms as src, so an edge with a huge
-    r must fail verification on its pole orders before anything is
-    expanded; under a memory cap the expansion would be a MemoryError."""
+    r must be rejected on its pole orders before anything is expanded:
+    reading the graph already checks r = deg num(f) - deg den(f).  Under
+    a memory cap the expansion would be a MemoryError."""
     graph = tmp_path / "graph.jsonl"
     assert run_cli(capsys, "graph-build", "--catalog",
                    str(moonshine_catalog_path), "--out", str(graph))[0] == 0
@@ -333,8 +334,8 @@ def test_refine_rejects_an_edge_whose_power_is_not_its_pole_order(
          str(huge), "--out", str(tmp_path / "refined.jsonl")],
         capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: verification-failure: refined edge")
-    assert "does not verify" in proc.stderr
+    assert proc.stderr.startswith("error: parse-error:")
+    assert "is not the pole order" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

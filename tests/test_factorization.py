@@ -6,7 +6,12 @@ import pytest
 from moondec.errors import VerificationFailureError, ZeroPolyError
 from moondec.factorization import Factorization, factor
 from moondec.polynomials import ONE, Poly, X
-from oracles import FLAGSHIP_NUM, has_integer_factor_pair, naive_eval
+from oracles import (
+    FLAGSHIP_NUM,
+    has_integer_factor_pair,
+    naive_eval,
+    naive_mul,
+)
 
 
 def P(*coeffs):
@@ -235,8 +240,8 @@ def test_factor_matches_sympy_on_large_non_monic_leads(monkeypatch):
 
 
 def test_hensel_target_is_bounded_by_the_primitive_polynomial(monkeypatch):
-    # the modulus is the first power of p above 2*|lc|*C(n, n//2)*||f||_2,
-    # not a bound on the lc^(n-1)-inflated monic transform of f
+    # the modulus is the first power of p above 2*C(n, n//2)*||f||_2 (the
+    # norm rounded up), with no factor |lc(f)|: see the module docstring
     from math import comb, isqrt
 
     from moondec import factorization
@@ -267,8 +272,97 @@ def test_hensel_target_is_bounded_by_the_primitive_polynomial(monkeypatch):
     n = len(ints) - 1
     norm2_up = isqrt(sum(c * c for c in ints)) + 1  # ||f||_2 rounded up
     p, target = seen[0]
-    bound = abs(ints[-1]) * comb(n, n // 2)
-    assert 2 * bound * isqrt(sum(c * c for c in ints)) < target
-    assert target < p * 2 * bound * norm2_up
+    want = p
+    while want <= 2 * comb(n, n // 2) * norm2_up:
+        want *= p
+    assert target == want
     # each lift stops at the target instead of squaring past it
     assert lifted and all(max(g + h) < target for target, (g, h) in lifted)
+
+
+def test_every_accepted_candidate_lies_inside_half_the_target(monkeypatch):
+    # the proof of the bound: a subset S of the lifted factors u_i that
+    # gives a true primitive factor g of the cofactor c makes the candidate
+    # lc(c) * prod_S u_i = lc(h) * g, h = c/g, in the symmetric range, and
+    # 2 * ||lc(h) * g||_inf < p^l; products of factors with large, different
+    # leading coefficients, with subsets of several modular factors
+    from moondec import factorization
+    from moondec._kernels import pm_divrem, pm_trim
+    from moondec.polynomials import poly_divrem
+    calls = []
+    recombine = factorization._recombine
+
+    def record(f, lifted, target):
+        calls.append((f, lifted, target, recombine(f, lifted, target)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(factorization, "_recombine", record)
+    rng = random.Random(28)
+    multi = 0
+    for _ in range(12):
+        target_poly = ONE
+        for _ in range(rng.randint(2, 3)):
+            degree = rng.randint(3, 6)
+            target_poly = target_poly * Poly.from_coeffs(
+                [rng.randint(-2 ** 12, 2 ** 12) for _ in range(degree)]
+                + [rng.randint(2 ** 30, 2 ** 60)])
+        ints = [int(c) for c in target_poly.coeffs]
+        unit, want = _sympy_monic_factors(ints)
+        assert len(want) >= 2
+        calls.clear()
+        fact = factor(target_poly)
+        assert fact.unit == unit
+        assert {p.coeffs: m for p, m in fact.factors} == want
+        assert calls
+        for f, lifted, target, found in calls:
+            p = next(d for d in range(3, target + 1, 2) if target % d == 0)
+            rest = list(range(len(lifted)))
+            current = f
+            for g in found[:-1]:  # the last entry is the cofactor left over
+                quot, rem = poly_divrem(Poly.make(current, 1), Poly.make(g, 1))
+                assert rem.is_zero
+                h = list(quot.nums)
+                cand = [h[-1] * c for c in g]
+                assert 2 * max(map(abs, cand)) < target
+                subset = [i for i in rest if not pm_divrem(
+                    pm_trim([c % p for c in g]), lifted[i], p)[1]]
+                prod = [current[-1]]
+                for i in subset:
+                    prod = [c % target for c in naive_mul(prod, lifted[i])]
+                assert [c - target if 2 * c > target else c
+                        for c in prod] == cand
+                multi += len(subset) >= 2
+                rest = [i for i in rest if i not in subset]
+                current = h
+    assert multi >= 8, multi  # most products recombine several factors
+
+
+def test_x_is_split_off_before_any_prime_is_chosen(monkeypatch):
+    # every normal-form numerator has the factor x; it is split off without
+    # reduction, and factor(x*g) is x together with the factors of g
+    from moondec import factorization
+    constants = []
+    choose = factorization._choose_prime
+
+    def record(f):
+        constants.append(f[0])
+        return choose(f)
+
+    monkeypatch.setattr(factorization, "_choose_prime", record)
+    rng = random.Random(31)
+    inputs = [P(-6, 1, 5, -2, 1, 1), P(2, 0, 0, 0, 0, 0, 3),
+              P(1, 0, 0, 0, 1), Poly.from_coeffs(FLAGSHIP_NUM[3:])]
+    inputs += [Poly.from_coeffs([rng.randint(1, 9)] +
+                                [rng.randint(-9, 9) for _ in range(6)] + [1])
+               * Poly.from_coeffs([rng.randint(-9, -1), rng.randint(-9, 9), 1])
+               for _ in range(8)]
+    for g in inputs:
+        want = factor(g)
+        for k in (1, 2):
+            got = factor(X ** k * g)
+            assert got.unit == want.unit
+            assert got.factors == tuple(sorted(
+                ((X, k), *want.factors),
+                key=lambda fm: (fm[0].degree, fm[0].coeffs)))
+    assert factor(Poly.from_coeffs(FLAGSHIP_NUM)).factors[0] == (X, 3)
+    assert constants and all(constants)

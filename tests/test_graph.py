@@ -439,6 +439,7 @@ def test_load_graph_rejects_duplicate_or_mislabeled_edges(
         [1],                                # not an object
         {**edge, "d": "x"},                 # non-integer label
         {**edge, "r": 0},
+        {**edge, "r": edge["r"] + 1},       # r is not the pole order of f
         {**node, "name": [1]},              # unhashable name
         {**node, "name": "fresh", "coeffs": "1"},
         {**edge, "f": 5},                   # non-string function

@@ -275,3 +275,31 @@ def test_polynomial_sum_and_product_are_canonical_without_a_gcd():
         assert a * b == RatFun.make(Poly.from_coeffs(product), ONE)
         if k % 5 == 0:
             assert (a + b).num == ZERO and (a + b).den == ONE
+
+
+def test_monic_den_scales_on_the_integers_like_the_fraction_route():
+    # num * den(den) / lc-numerator(den), put over one integer denominator,
+    # equals scaling num by the Fraction den.den / den.nums[-1]; negative
+    # leading coefficients move their sign to the numerator
+    from moondec.ratfun import _monic_den
+    rng = random.Random(49)
+    negative = 0
+
+    def coeffs(k):
+        return [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                for _ in range(k)]
+
+    for _ in range(200):
+        num = Poly.from_coeffs(coeffs(rng.randint(1, 6)))
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(2, 90),
+                        rng.randint(1, 12))
+        den = Poly.from_coeffs(coeffs(rng.randint(0, 5)) + [lead])
+        if num.is_zero or den.nums[-1] == den.den:
+            continue
+        negative += lead < 0
+        got = _monic_den(num, den)
+        assert got == RatFun(num.scale(Fraction(den.den, den.nums[-1])),
+                             den.monic())
+        assert got.den.lc == 1
+        assert got.num.den > 0
+    assert negative >= 60
