@@ -6,8 +6,10 @@ The first two loops dominate the runtime of everything in this package
 linear solve runs through the Bareiss echelon form).  The ``pm_`` functions
 work on integer coefficient lists modulo a prime ``p`` (ascending, highest
 entry nonzero, the empty list zero); factorization splits with them, and
-``poly_gcd`` certifies coprimality with them.  ``pm_rank`` is the rank of
-a matrix modulo ``p``, a lower bound of its rank over the rationals.
+``poly_gcd`` certifies coprimality with them.  ``pm_pivots`` gives the
+pivot columns of a matrix modulo ``p``: columns independent modulo ``p``
+are independent over the rationals, so their number is a lower bound of
+the rank over the rationals.
 """
 
 BACKEND = "python"  # the only backend; benchmark runs record it
@@ -135,14 +137,19 @@ def pm_gcd(a, b, p):
     return pm_monic(a, p) if a else []
 
 
-def pm_rank(rows, p):
-    """Rank modulo ``p`` of an integer matrix given as rows of equal
-    length."""
+def pm_pivots(rows, p):
+    """Pivot columns of an integer matrix, given as rows of equal length,
+    in a row echelon form modulo ``p``, as ``row_echelon`` returns them:
+    column c is a pivot iff it is independent modulo ``p`` of the columns
+    before it, so their number is the rank modulo ``p``."""
     work = [[v % p for v in row] for row in rows]
     m = len(work)
     n = len(work[0]) if work else 0
-    rank = 0
+    pivots = []
     for c in range(n):
+        rank = len(pivots)
+        if rank == m:
+            break
         pr = next((i for i in range(rank, m) if work[i][c]), -1)
         if pr < 0:
             continue
@@ -155,8 +162,8 @@ def pm_rank(rows, p):
             if f:
                 for j in range(c + 1, n):
                     row[j] = (row[j] - f * top[j]) % p
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
 
 
 def row_echelon(rows):

@@ -56,7 +56,18 @@ def proves_inconsistent(aug_rows, nvars):
     solution: a minor that is nonzero modulo the prime is a nonzero
     integer, so [A | b] has full column rank over Q too, while rank A <=
     nvars.  False proves nothing: the rank may drop modulo the prime."""
-    return _kernels.pm_rank(aug_rows, RANK_PRIME) == nvars + 1
+    return len(_kernels.pm_pivots(aug_rows, RANK_PRIME)) == nvars + 1
+
+
+def independent_lead(rows):
+    """The number k of leading columns of the integer matrix ``rows`` that
+    are independent modulo RANK_PRIME: the index of the first column that
+    depends on the columns before it modulo the prime, or the number of
+    columns.  A minor of the first k' <= k columns that is nonzero modulo
+    the prime is a nonzero integer, so those columns are independent over
+    Q too."""
+    pivots = _kernels.pm_pivots(rows, RANK_PRIME)
+    return next((k for k, c in enumerate(pivots) if c != k), len(pivots))
 
 
 def solve_unique(aug_rows, nvars):

@@ -137,13 +137,6 @@ class Poly:
         return Poly.make(*mul_fraction_seqs((self.nums, self.den),
                                             (other.nums, other.den)))
 
-    def scale(self, k) -> Poly:
-        """k * self for an int or Fraction k."""
-        if k == 0:
-            return ZERO
-        return Poly.make([n * k.numerator for n in self.nums],
-                         self.den * k.denominator)
-
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")

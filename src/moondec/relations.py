@@ -32,9 +32,14 @@ A surviving block that holds every certified row (series certified just
 through q^(2e+1)) is the full system and is solved as built.
 
 ``lowest_degree_relations`` scans one target at every degree up to a
-bound, as modular polynomials need: it shares one table of the target's
-powers across sources and degrees, and skips each power r past the degree
-of its first relation, where the system is provably underdetermined.
+bound, as modular polynomials need, with the power r outside the degree
+e.  It shares one table of the target's powers across sources and powers.
+Columns R_0..R_(e-r) depend on r and not on e, so each r takes one leading
+block, built at the top degree and eliminated once modulo the prime: the
+first k columns independent there reject every degree e < r + k, since
+the block's first e - r + 1 columns are a row subset of the degree-e
+system.  Each r stops at its first relation, past which the system is
+provably underdetermined.
 """
 
 from __future__ import annotations
@@ -227,11 +232,11 @@ def _solved(s1, s2, e, r, system, polys):
 
 
 def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
-          powers: list[GeneralLaurent] | None = None, done=()):
-    """Verified relations for r = 1..e outside ``done``, lowest r first,
-    found lazily.  ``powers`` is a table of s2's powers to grow and share;
-    without one, the scan makes its own.  Leading blocks and full systems
-    are built from that one table."""
+          powers: list[GeneralLaurent] | None = None):
+    """Verified relations for r = 1..e, lowest r first, found lazily.
+    ``powers`` is a table of s2's powers to grow and share; without one,
+    the scan makes its own.  Leading blocks and full systems are built
+    from that one table."""
     if e < 1:
         raise InvalidInputError("degree must be a positive integer")
     need = 2 * e + 1
@@ -240,8 +245,6 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
             f"series must be certified through q^{need} "
             f"(have {s1.prec} and {s2.prec})")
     for r in range(1, e + 1):
-        if r in done:
-            continue
         powers = series_powers(s2.laurent, r, powers)
         block, polys = _build_system(s1, e, r, powers, e + 2)
         if linalg.proves_inconsistent(
@@ -287,10 +290,28 @@ def find_all_relations(s1: QSeries, s2: QSeries, e: int,
 
 def lowest_degree_relations(sources, s2: QSeries, emax: int):
     """For each series s1 of ``sources`` in turn, {r: the relation
-    s1(q^r) = f(s2(q)) of least degree e}, over e = 1..emax until the
-    series are not certified through q^(2e+1); underdetermined systems
-    record nothing.  One table of s2's powers serves every source and
-    degree, and lives as long as the generator.
+    s1(q^r) = f(s2(q)) of least degree e}, over e = 1..top, where top <=
+    emax is the last degree at which both series are certified through
+    q^(2e+1); underdetermined systems record nothing.  One table of s2's
+    powers serves every source and power, and lives as long as the
+    generator.
+
+    Each power r takes one leading block, built at degree top with rows
+    q^1..q^(top+2) of the columns R_0..R_(top-r), and eliminated once
+    modulo a prime: its first k columns are independent there, and column
+    k, if any, depends on those before it.  Degrees e < r + k are
+    rejected with no further work.  For e <= top, the degree-e system has
+    _row_count(e, r) >= _row_count(top, r) >= top + 2 rows, and its
+    columns R_0..R_(e-r) are the block's first e - r + 1, down to one
+    positive row scaling and the sign of the right-hand side (see
+    _build_system), neither of which changes a rank.  So the block's
+    first e - r + 1 columns are a row subset of the degree-e system
+    [A | b]; independent modulo the prime, they are independent over Q
+    (see linalg.independent_lead), so rank [A | b] = e - r + 1 > rank A
+    and the system is inconsistent.  From e = r + k on, each degree is
+    solved exactly as _scan does, the block itself when at e = top it is
+    the full system, until the first relation; so the result is the
+    per-degree scan's.
 
     A power r that has a relation at degree e0 is not scanned at e > e0.
     Its system there always ends in UnderdeterminedSystemError, which
@@ -299,18 +320,30 @@ def lowest_degree_relations(sources, s2: QSeries, emax: int):
     since g(s2) leads with q^(e0-e) and bound0 = bound + e - e0 (the bound
     formula of _try_r shifts by the degree).  So every certified row of
     the degree-e system vanishes, on a family of solutions that no leading
-    block rejects.  Nor can skipping r skip an error: _scan's own check of
-    q^(2e+1) is independent of r, and past it every system has
-    _row_count >= e + 2 rows for its e - r unknowns, so _build_system's
-    InsufficientPrecisionError cannot fire.  Skipping r changes no result.
+    block rejects.  Nor can an error be skipped: through top every system
+    has _row_count >= e + 2 rows for its e - r unknowns, so
+    _build_system's InsufficientPrecisionError cannot fire, and the
+    per-degree scan stops at top + 1 on its own check of q^(2e+1).
     """
     powers = [GeneralLaurent.exact_scalar(1)]
     for s1 in sources:
+        top = min(emax, (min(s1.prec, s2.prec) - 1) // 2)
         found: dict[int, Relation] = {}
-        for e in range(1, emax + 1):
-            try:
-                rels = list(_scan(s1, s2, e, True, powers, found))
-            except InsufficientPrecisionError:
-                break
-            found.update((rel.r, rel) for rel in rels)
+        for r in range(1, top + 1):
+            powers = series_powers(s2.laurent, r, powers)
+            block, polys = _build_system(s1, top, r, powers, top + 2)
+            lead = linalg.independent_lead(
+                [(*row, b) for row, b in zip(block.matrix, block.rhs)])
+            whole = _row_count(s1.prec, s2.prec, top, r) == top + 2
+            for e in range(r + lead, top + 1):
+                try:
+                    if e == top and whole:  # the block is the full system
+                        rel = _solved(s1, s2, e, r, block, polys)
+                    else:
+                        rel = _try_r(s1, s2, e, r, powers)
+                except UnderdeterminedSystemError:
+                    continue
+                if rel is not None:
+                    found[r] = rel
+                    break
         yield found

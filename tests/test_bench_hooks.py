@@ -237,6 +237,31 @@ def test_modpoly_scan_skips_powers_with_a_relation(monkeypatch, capsys,
     assert sum(built) == len(tables[0]) - 1 <= 12
 
 
+def test_modpoly_builds_one_leading_block_per_source_and_power(
+        monkeypatch, capsys, moonshine_catalog_path):
+    # the degree driver eliminates one block per (source, r), built at the
+    # top degree, instead of one per degree: 2 sources x 14 powers, where
+    # the per-degree scan built 191; it solves exactly no more often (4)
+    from moondec import cli, relations
+    build, blocks, calls = relations._build_system, [], {}
+
+    def recording_build(s1, e, r, powers, *cap):
+        if cap:
+            blocks.append((id(s1), r, e, *cap))
+        return build(s1, e, r, powers, *cap)
+
+    monkeypatch.setattr(relations, "_build_system", recording_build)
+    _count_calls(monkeypatch, calls, relations, "solve_linear")
+    code = cli.main(["modpoly", "--catalog", str(moonshine_catalog_path),
+                     "--target", "9B", "--emax", "14"])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(printed) == 3, printed
+    assert len(blocks) == 28
+    assert len({(s1, r) for s1, r, _, _ in blocks}) == 28
+    assert {(e, cap) for _, _, e, cap in blocks} == {(14, 16)}
+    assert calls == {"solve_linear": 4}
+
+
 def test_relate_emax_builds_each_power_of_the_target_once(
         monkeypatch, capsys, moonshine_catalog_path):
     # with no natural area quotient, relate --emax scans every degree up

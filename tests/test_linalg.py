@@ -125,25 +125,31 @@ def test_nullspace_gives_integer_vectors_proportional_to_sympys():
 
 
 def test_rank_modulo_a_prime_matches_sympy_and_proves_only_inconsistency():
-    """_kernels.pm_rank equals sympy's rank over GF(p), for a small prime
-    that drops ranks often and for RANK_PRIME; proves_inconsistent holds
-    only for systems sympy finds inconsistent, and for every seeded one
-    whose rank survives the prime."""
+    """_kernels.pm_pivots equals sympy's pivot columns over GF(p), for a
+    small prime that drops ranks often and for RANK_PRIME, and
+    independent_lead is the length of their leading run; proves_inconsistent
+    holds only for systems sympy finds inconsistent, and for every seeded
+    one whose rank survives the prime."""
     from sympy import GF, ZZ
     from sympy.polys.matrices import DomainMatrix
 
     from moondec import _kernels
-    from moondec.linalg import RANK_PRIME, proves_inconsistent
+    from moondec.linalg import (
+        RANK_PRIME,
+        independent_lead,
+        proves_inconsistent,
+    )
 
-    def sympy_rank(rows, p):
+    def sympy_pivots(rows, p):
         ncols = len(rows[0])
-        return DomainMatrix([[ZZ(v) for v in row] for row in rows],
-                            (len(rows), ncols), ZZ).convert_to(GF(p)).rank()
+        matrix = DomainMatrix([[ZZ(v) for v in row] for row in rows],
+                              (len(rows), ncols), ZZ)
+        return list(matrix.convert_to(GF(p)).rref()[1])
 
     kinds = ["unique", "late inconsistent", "leading inconsistent",
              "rank-deficient lead", "underdetermined"]
     rng = random.Random(2107)
-    dropped = proved = 0
+    dropped = proved = gaps = 0
     for i in range(120):
         rows, nvars = _system(rng, kinds[i % len(kinds)])
         if rng.random() < 0.3:  # a column that vanishes modulo the prime
@@ -151,14 +157,21 @@ def test_rank_modulo_a_prime_matches_sympy_and_proves_only_inconsistency():
             rows = [row[:col] + [RANK_PRIME * rng.randint(-2, 2)]
                     + row[col + 1:] for row in rows]
         for p in (7, RANK_PRIME):
-            assert _kernels.pm_rank(rows, p) == sympy_rank(rows, p), rows
+            pivots = sympy_pivots(rows, p)
+            assert _kernels.pm_pivots(rows, p) == pivots, (rows, p)
+            # a pivot after a dependent column
+            gaps += pivots != list(range(len(pivots)))
+        # RANK_PRIME's pivots, from the last pass of the loop
+        lead = next((k for k, c in enumerate(pivots) if c != k), len(pivots))
+        assert independent_lead(rows) == lead, rows
         kind, _ = _oracle(rows, nvars)
         inconsistent = kind.endswith("inconsistent")
-        full = sympy_rank(rows, RANK_PRIME) == nvars + 1
+        full = len(pivots) == nvars + 1
         assert proves_inconsistent(rows, nvars) == full
         if full:
             assert inconsistent, rows
             proved += 1
         elif inconsistent:
             dropped += 1
-    assert proved >= 25 and dropped >= 5, (proved, dropped)
+    assert proved >= 25 and dropped >= 5 and gaps >= 20, \
+        (proved, dropped, gaps)

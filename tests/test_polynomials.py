@@ -209,9 +209,9 @@ def test_integer_core_matches_the_naive_oracles():
         check(a - a, [])
         check(a.derivative(), [i * c for i, c in enumerate(ac)][1:])
         k = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 2 ** 64))
-        check(a.scale(k), naive_mul(ac, [k]))
-        check(a.scale(-3), naive_mul(ac, [-3]))
-        check(a.scale(0), [])
+        check(a * Poly.constant(k), naive_mul(ac, [k]))
+        check(a * Poly.constant(-3), naive_mul(ac, [-3]))
+        check(a * Poly.constant(0), [])
         if ac:
             check(a.monic(), [c / ac[-1] for c in ac])
         for point in points:
@@ -237,8 +237,8 @@ def test_equal_values_have_equal_fields_and_hashes():
     forms = [
         Poly.from_coeffs([half, 1]),
         Poly.from_coeffs([Fraction(2, 4), Fraction(3, 3)]),
-        P(1, 2).scale(half),
-        P(-3, -6).scale(Fraction(-1, 6)),
+        P(1, 2) * Poly.constant(half),
+        P(-3, -6) * Poly.constant(Fraction(-1, 6)),
         P(1, 2, 5) - P(half, 1, 5),
         poly_divrem(P(1, 2) * P(0, 3), P(0, 6))[0],
         P(2, 4).monic(),
@@ -266,7 +266,7 @@ def test_coprime_pair_is_certified_without_the_prs(monkeypatch):
     monkeypatch.setattr(polynomials, "poly_divrem", counting)
     a, b = P(1, 1) ** 500, P(2, 1) ** 500
     assert poly_gcd(a, b) == ONE
-    assert poly_gcd(b, a.scale(Fraction(1, 3))) == ONE
+    assert poly_gcd(b, a * Poly.constant(Fraction(1, 3))) == ONE
     assert calls == []
     # a common factor still goes through the PRS
     assert poly_gcd(a, P(1, 1) ** 3 * P(5, 1)) == P(1, 1) ** 3
@@ -318,9 +318,10 @@ def test_gcd_matches_sympy_on_planted_common_factors(monkeypatch):
         u = factor_coeffs(rng.randint(0, 4), GCD_PRIME if kind == 1
                           else small_lead())
         v = factor_coeffs(rng.randint(0, 4), small_lead())
-        a = Poly.from_coeffs(naive_mul(g, u)).scale(
+        a = Poly.from_coeffs(naive_mul(g, u)) * Poly.constant(
             Fraction(1, rng.randint(1, 9)))
-        b = Poly.from_coeffs(naive_mul(g, v)).scale(rng.randint(1, 9))
+        b = Poly.from_coeffs(naive_mul(g, v)) * Poly.constant(
+            rng.randint(1, 9))
         got = poly_gcd(a, b)
         assert_canonical(got)
         assert list(got.coeffs) == sympy_gcd(a, b)
@@ -356,7 +357,7 @@ def test_pair_coprime_over_q_but_not_mod_the_prime_takes_the_prs(
         return divrem(a, b)
 
     monkeypatch.setattr(polynomials, "poly_divrem", counting)
-    for x, y in ((a, b), (b.scale(Fraction(-2, 3)), a)):
+    for x, y in ((a, b), (b * Poly.constant(Fraction(-2, 3)), a)):
         assert poly_gcd(x, y) == ONE
         assert sympy_gcd(x, y) == [1]
     assert certificates == [GCD_PRIME] * 2 and divisions

@@ -505,25 +505,50 @@ def _per_degree_scan(s1, s2, emax):
     return found
 
 
-def test_lowest_degree_relations_match_the_per_degree_scan(
-        moonshine_catalog_path, synthetic_pair_path):
-    # the degree driver skips every r that already has a relation and
-    # shares one table of s2's powers across sources and degrees
+def _check_lowest_degree_relations(monkeypatch, paths):
+    """Compare lowest_degree_relations with the per-degree scan on seeded
+    groups and on the bundled catalogs, whole and cut to q^20 and q^25;
+    count what the comparison covered.  Each exact solve of the degree
+    driver is recorded, and a (source, r) scan whose solves include one
+    with no relation went past the leading block's rejection."""
+    from moondec import relations
     from moondec.graph import load_catalog
-    seen = {"relations": 0, "skipped-degree relations": 0, "stops": 0}
+    seen = {"relations": 0, "skipped-degree relations": 0, "stops": 0,
+            "solves past the block": 0}
     rng = random.Random(71)
     groups = []
     for s1, s2, e in _oracle_instances(rng, 120):
         groups.append(([s1, s2, s1], s2, e + rng.randint(0, 2)))
-    for path in (moonshine_catalog_path, synthetic_pair_path):
+    for path in paths:
         with open(path, "rb") as handle:
             catalog = [c.series for c in load_catalog(handle)]
         for cut in (None, 20, 25):
             cat = [s.truncate(min(cut or s.prec, s.prec)) for s in catalog]
             for s2 in cat:
                 groups.append((cat, s2, 12))
+    # a relation planted at r = 1 and degree emax, with s1 perturbed past
+    # the leading block's emax + 2 rows but inside the certified ones: the
+    # block is consistent, only the full system at the top degree is not
+    late = random.Random(72)
+    for e in range(1, 5):
+        s1, s2, _ = plant(late, e, 1, 3 * e + 4)
+        coeffs = list(s1.coeffs)
+        coeffs[2 * e + 3] += 1
+        groups.append(([QSeries.from_coeffs(coeffs)], s2, e))
+    solves = []
+    solved = relations._solved
+
+    def recording_solved(s1, s2, e, r, system, polys):
+        rel = solved(s1, s2, e, r, system, polys)
+        solves.append((id(s1), r, rel is None))
+        return rel
+
+    monkeypatch.setattr(relations, "_solved", recording_solved)
     for sources, s2, emax in groups:
+        solves.clear()
         got = list(lowest_degree_relations(iter(sources), s2, emax))
+        seen["solves past the block"] += len(
+            {(s1, r) for s1, r, missed in solves if missed})
         expected = [_per_degree_scan(s1, s2, emax) for s1 in sources]
         assert got == expected, (sources, s2, emax)
         for s1, by_power in zip(sources, got):
@@ -533,4 +558,27 @@ def test_lowest_degree_relations_match_the_per_degree_scan(
                 rel.e < emax and min(s1.prec, s2.prec) >= 2 * rel.e + 3
                 for rel in by_power.values())
         seen["stops"] += any(s.prec < 2 * emax + 1 for s in [*sources, s2])
+    return seen
+
+
+def test_lowest_degree_relations_match_the_per_degree_scan(
+        monkeypatch, moonshine_catalog_path, synthetic_pair_path):
+    # the degree driver rejects degrees on one leading block per power,
+    # skips every r that already has a relation and shares one table of
+    # s2's powers across sources and powers
+    seen = _check_lowest_degree_relations(
+        monkeypatch, (moonshine_catalog_path, synthetic_pair_path))
+    del seen["solves past the block"]
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lowest_degree_relations_solve_past_a_block_that_drops_rank(
+        monkeypatch, moonshine_catalog_path, synthetic_pair_path):
+    # modulo 3 the leading block's columns become dependent early, so the
+    # exact solves start below the relation's degree, and find nothing
+    # there: the relations are still the per-degree scan's
+    from moondec import linalg
+    monkeypatch.setattr(linalg, "RANK_PRIME", 3)
+    seen = _check_lowest_degree_relations(
+        monkeypatch, (moonshine_catalog_path, synthetic_pair_path))
     assert min(seen.values()) >= 20, seen
