@@ -18,10 +18,8 @@ from math import lcm
 from moondec.bivariate import bivariate_text
 from moondec.decompose import DecompositionChain, all_chains, decompose_one_level
 from moondec.errors import (
-    InsufficientPrecisionError,
     InvalidInputError,
     MoondecError,
-    UnderdeterminedSystemError,
     UnknownNodeError,
     VerificationFailureError,
 )
@@ -45,7 +43,7 @@ from moondec.relations import (
     lowest_degree_relations,
     verify_relation,
 )
-from moondec.series import series_powers, substitute_power
+from moondec.series import substitute_power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,47 +168,30 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _candidate_degrees(args, src, dst):
-    if args.e is not None:
-        return [args.e], True
-    e = degree_from_areas(src.area, dst.area)
-    if e is not None:
-        return [e], True
-    if args.emax is not None:
-        return range(1, args.emax + 1), False
-    print("note: area quotient is not a natural number and no --e/--emax "
-          "given", file=sys.stderr)
-    return [], False
-
-
 def _cmd_relate(args) -> int:
     _check_positive("--emax", args.emax)
     catalog = _load_catalog_file(args.catalog)
     src = _entry(catalog, args.src)
     dst = _entry(catalog, args.dst)
-    degrees, strict = _candidate_degrees(args, src, dst)
-    relations = []
-    # one table of the target's powers for every degree scanned
-    powers = series_powers(dst.series.laurent, 0)
-    for e in degrees:
-        try:
-            if args.all_r:
-                relations.extend(find_all_relations(
-                    src.series, dst.series, e, powers=powers))
-            else:
-                rel = find_relation(src.series, dst.series, e, powers=powers)
-                if rel is not None:
-                    relations.append(rel)
-                    break
-        except InsufficientPrecisionError:
-            if strict:
-                raise
-            break  # larger degrees need even more precision
-        except UnderdeterminedSystemError:
-            if strict:
-                raise
-            print(f"note: skipping degree {e}: underdetermined system",
-                  file=sys.stderr)
+    e = args.e
+    if e is None:
+        e = degree_from_areas(src.area, dst.area)
+    if e is not None:
+        if args.all_r:
+            relations = find_all_relations(src.series, dst.series, e)
+        else:
+            rel = find_relation(src.series, dst.series, e)
+            relations = [] if rel is None else [rel]
+    elif args.emax is not None:
+        (found,) = lowest_degree_relations([src.series], dst.series,
+                                           args.emax)
+        relations = sorted(found.values(), key=lambda rel: (rel.e, rel.r))
+        if not args.all_r:
+            relations = relations[:1]
+    else:
+        print("note: area quotient is not a natural number and no --e/--emax "
+              "given", file=sys.stderr)
+        relations = []
     if not relations:
         print("none")
         return 3

@@ -46,17 +46,8 @@ def _null_vector(echelon, pivots, free_col, ncols):
 # A rank modulo a prime bounds the rank over Q from below.  The largest
 # prime below 2^15 keeps residues and their products below 2^30, so the
 # elimination runs on CPython's one-digit integers; a rank that drops
-# modulo it only costs an exact solve (see proves_inconsistent).
+# modulo it only costs an exact solve (see independent_lead).
 RANK_PRIME = 32749
-
-
-def proves_inconsistent(aug_rows, nvars):
-    """True when the augmented integer system ``[A | b]`` with ``nvars``
-    unknowns has rank nvars + 1 modulo RANK_PRIME, which proves it has no
-    solution: a minor that is nonzero modulo the prime is a nonzero
-    integer, so [A | b] has full column rank over Q too, while rank A <=
-    nvars.  False proves nothing: the rank may drop modulo the prime."""
-    return len(_kernels.pm_pivots(aug_rows, RANK_PRIME)) == nvars + 1
 
 
 def independent_lead(rows):

@@ -18,28 +18,18 @@ s2, one integer row subtraction per term, and R_j = s2*R_(j-1) - rho from
 one product with s2 (see _build_system).
 
 Most systems are inconsistent, and the scan rejects those on a leading
-block before it builds them in full.  The block is the system's first
-e + 2 rows, rows q^1..q^(e+2), each the full row times one positive
-constant, built from the same series and table of s2's powers (the scan
-requires q^(2e+1), so every system has that many).  A row subset of
-[A | b] of rank (e - r) + 1 means rank [A | b] > rank A, so the full
-system is inconsistent too and that r has no relation; the block's rank
-is taken modulo a prime, a lower bound of its rank over Q, so that no
-exact elimination is spent on it.  Every block is tested before any
-exact solve, and every r it does not reject is solved exactly, so the
-test changes no result: a consistent system has only consistent blocks.
-A surviving block that holds every certified row (series certified just
-through q^(2e+1)) is the full system and is solved as built.
-
-``lowest_degree_relations`` scans one target at every degree up to a
-bound, as modular polynomials need, with the power r outside the degree
-e.  It shares one table of the target's powers across sources and powers.
-Columns R_0..R_(e-r) depend on r and not on e, so each r takes one leading
-block, built at the top degree and eliminated once modulo the prime: the
-first k columns independent there reject every degree e < r + k, since
-the block's first e - r + 1 columns are a row subset of the degree-e
-system.  Each r stops at its first relation, past which the system is
-provably underdetermined.
+block before it builds them in full (see _lowest_relation).  Columns
+R_0..R_(e-r) depend on r and not on e, so each r takes one block: the
+first e + 2 rows of its system at the top degree scanned, each the full
+row times one positive constant, built from the one table of s2's powers
+that the full systems read.  At each degree e up to the top, the block's
+first e - r + 1 columns are a row subset of the degree-e system [A | b];
+independent modulo a prime, they are independent over Q, so that system
+is inconsistent and needs no exact elimination.  Every degree the block
+does not reject is solved exactly, so the test changes no result.
+``_scan`` runs this at one degree, and ``lowest_degree_relations`` at
+every degree up to a bound, as modular polynomials and ``relate --emax``
+need, each r stopping at its first relation.
 """
 
 from __future__ import annotations
@@ -231,29 +221,37 @@ def _solved(s1, s2, e, r, system, polys):
     return Relation(r, f, e, min(r * s1.prec, s2.prec - r + 1))
 
 
-def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
-          powers: list[GeneralLaurent] | None = None):
-    """Verified relations for r = 1..e, lowest r first, found lazily.
-    ``powers`` is a table of s2's powers to grow and share; without one,
-    the scan makes its own.  Leading blocks and full systems are built
-    from that one table."""
-    if e < 1:
-        raise InvalidInputError("degree must be a positive integer")
-    need = 2 * e + 1
-    if s1.prec < need or s2.prec < need:
-        raise InsufficientPrecisionError(
-            f"series must be certified through q^{need} "
-            f"(have {s1.prec} and {s2.prec})")
-    for r in range(1, e + 1):
-        powers = series_powers(s2.laurent, r, powers)
-        block, polys = _build_system(s1, e, r, powers, e + 2)
-        if linalg.proves_inconsistent(
-                [(*row, b) for row, b in zip(block.matrix, block.rhs)], e - r):
-            continue
+def _lowest_relation(s1: QSeries, s2: QSeries, r: int, low: int, top: int,
+                     powers: list[GeneralLaurent],
+                     skip_underdetermined: bool):
+    """The relation at power r of least degree e in low..top, or None; both
+    series certified through q^(2*top+1), and ``powers`` a table of s2's
+    powers through s2^r at least.
+
+    One leading block, built at degree top with rows q^1..q^(top+2) of the
+    columns R_0..R_(top-r), is eliminated once modulo a prime: its first k
+    columns are independent there, and column k, if any, depends on those
+    before it.  Degrees e < r + k are rejected with no further work.  For
+    e <= top, the degree-e system has _row_count(e, r) >=
+    _row_count(top, r) >= top + 2 rows, and its columns R_0..R_(e-r) are
+    the block's first e - r + 1, down to one positive row scaling and the
+    sign of the right-hand side (see _build_system), neither of which
+    changes a rank.  So the block's first e - r + 1 columns are a row
+    subset of the degree-e system [A | b]; independent modulo the prime,
+    they are independent over Q (see linalg.independent_lead), so
+    rank [A | b] = e - r + 1 > rank A and the system is inconsistent.
+    From e = max(low, r + k) on, each degree is solved exactly, the block
+    itself when at e = top it holds every certified row, until the first
+    relation.  An underdetermined system raises, or with
+    skip_underdetermined records nothing at that degree.
+    """
+    block, polys = _build_system(s1, top, r, powers, top + 2)
+    lead = linalg.independent_lead(
+        [(*row, b) for row, b in zip(block.matrix, block.rhs)])
+    whole = _row_count(s1.prec, s2.prec, top, r) == top + 2
+    for e in range(max(low, r + lead), top + 1):
         try:
-            # the block's e + 2 rows are all the full system has when the
-            # series are certified that far only: solve it as it stands
-            if _row_count(s1.prec, s2.prec, e, r) == e + 2:
+            if e == top and whole:  # the block is the full system
                 rel = _solved(s1, s2, e, r, block, polys)
             else:
                 rel = _try_r(s1, s2, e, r, powers)
@@ -262,56 +260,53 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool,
                 raise
             continue
         if rel is not None:
+            return rel
+    return None
+
+
+def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
+    """Verified relations for r = 1..e, lowest r first, found lazily, each
+    by _lowest_relation at the one degree e, from one table of s2's
+    powers."""
+    if e < 1:
+        raise InvalidInputError("degree must be a positive integer")
+    need = 2 * e + 1
+    if s1.prec < need or s2.prec < need:
+        raise InsufficientPrecisionError(
+            f"series must be certified through q^{need} "
+            f"(have {s1.prec} and {s2.prec})")
+    powers = None
+    for r in range(1, e + 1):
+        powers = series_powers(s2.laurent, r, powers)
+        rel = _lowest_relation(s1, s2, r, e, e, powers, skip_underdetermined)
+        if rel is not None:
             yield rel
 
 
-def find_relation(s1: QSeries, s2: QSeries, e: int,
-                  powers: list[GeneralLaurent] | None = None):
-    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None.
-    ``powers``, a table of s2's powers from s2^0, is grown and shared, so
-    that scans of one s2 at several degrees build each power once."""
-    return next(_scan(s1, s2, e, False, powers), None)
+def find_relation(s1: QSeries, s2: QSeries, e: int):
+    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None."""
+    return next(_scan(s1, s2, e, False), None)
 
 
 def find_all_relations(s1: QSeries, s2: QSeries, e: int,
-                       skip_underdetermined: bool = False,
-                       powers: list[GeneralLaurent] | None = None
-                       ) -> list[Relation]:
+                       skip_underdetermined: bool = False) -> list[Relation]:
     """Every r in 1..e admitting a verified relation (exhaustive mode).
 
     An underdetermined system at some r propagates as an error by default;
     with skip_underdetermined the scan records nothing for that r and
-    keeps going, so that relations at other powers (the multi-relation
-    case feeding modular polynomials) are still reported.  ``powers`` is
-    shared as in find_relation.
+    keeps going, so that relations at other powers are still reported.
     """
-    return list(_scan(s1, s2, e, skip_underdetermined, powers))
+    return list(_scan(s1, s2, e, skip_underdetermined))
 
 
 def lowest_degree_relations(sources, s2: QSeries, emax: int):
     """For each series s1 of ``sources`` in turn, {r: the relation
     s1(q^r) = f(s2(q)) of least degree e}, over e = 1..top, where top <=
     emax is the last degree at which both series are certified through
-    q^(2e+1); underdetermined systems record nothing.  One table of s2's
-    powers serves every source and power, and lives as long as the
-    generator.
-
-    Each power r takes one leading block, built at degree top with rows
-    q^1..q^(top+2) of the columns R_0..R_(top-r), and eliminated once
-    modulo a prime: its first k columns are independent there, and column
-    k, if any, depends on those before it.  Degrees e < r + k are
-    rejected with no further work.  For e <= top, the degree-e system has
-    _row_count(e, r) >= _row_count(top, r) >= top + 2 rows, and its
-    columns R_0..R_(e-r) are the block's first e - r + 1, down to one
-    positive row scaling and the sign of the right-hand side (see
-    _build_system), neither of which changes a rank.  So the block's
-    first e - r + 1 columns are a row subset of the degree-e system
-    [A | b]; independent modulo the prime, they are independent over Q
-    (see linalg.independent_lead), so rank [A | b] = e - r + 1 > rank A
-    and the system is inconsistent.  From e = r + k on, each degree is
-    solved exactly as _scan does, the block itself when at e = top it is
-    the full system, until the first relation; so the result is the
-    per-degree scan's.
+    q^(2e+1); underdetermined systems record nothing.  Each r takes one
+    _lowest_relation over degrees 1..top, so the result is the per-degree
+    scan's.  One table of s2's powers serves every source and power, and
+    lives as long as the generator.
 
     A power r that has a relation at degree e0 is not scanned at e > e0.
     Its system there always ends in UnderdeterminedSystemError, which
@@ -331,19 +326,7 @@ def lowest_degree_relations(sources, s2: QSeries, emax: int):
         found: dict[int, Relation] = {}
         for r in range(1, top + 1):
             powers = series_powers(s2.laurent, r, powers)
-            block, polys = _build_system(s1, top, r, powers, top + 2)
-            lead = linalg.independent_lead(
-                [(*row, b) for row, b in zip(block.matrix, block.rhs)])
-            whole = _row_count(s1.prec, s2.prec, top, r) == top + 2
-            for e in range(r + lead, top + 1):
-                try:
-                    if e == top and whole:  # the block is the full system
-                        rel = _solved(s1, s2, e, r, block, polys)
-                    else:
-                        rel = _try_r(s1, s2, e, r, powers)
-                except UnderdeterminedSystemError:
-                    continue
-                if rel is not None:
-                    found[r] = rel
-                    break
+            rel = _lowest_relation(s1, s2, r, 1, top, powers, True)
+            if rel is not None:
+                found[r] = rel
         yield found

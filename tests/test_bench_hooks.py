@@ -164,13 +164,13 @@ def test_every_block_takes_the_rank_test_before_any_solve(
     from moondec import linalg, relations
     series = _bundled_series(moonshine_catalog_path, 25)
     calls = {}
-    _count_calls(monkeypatch, calls, linalg, "proves_inconsistent")
+    _count_calls(monkeypatch, calls, linalg, "independent_lead")
     _count_calls(monkeypatch, calls, relations, "solve_linear")
     found = relations.find_all_relations(series["1A"], series["9B"], 12,
                                          True)
     assert [(rel.r, rel.verified_to) for rel in found] == \
         [(1, 25), (3, 23), (9, 17)]
-    assert calls == {"proves_inconsistent": 12, "solve_linear": 3}
+    assert calls == {"independent_lead": 12, "solve_linear": 3}
 
 
 def test_relation_scan_grows_one_table_of_powers(monkeypatch,
@@ -260,6 +260,28 @@ def test_modpoly_builds_one_leading_block_per_source_and_power(
     assert len({(s1, r) for s1, r, _, _ in blocks}) == 28
     assert {(e, cap) for _, _, e, cap in blocks} == {(14, 16)}
     assert calls == {"solve_linear": 4}
+
+
+def test_relate_emax_builds_one_leading_block_per_power(
+        monkeypatch, capsys, moonshine_catalog_path):
+    # with no natural area quotient, relate --emax eliminates one block
+    # per r, built at the top degree, where a scan of each degree built
+    # one per (degree, r): 14 against 105; no system survives to a solve
+    from moondec import cli, relations
+    build, blocks, calls = relations._build_system, [], {}
+
+    def recording_build(s1, e, r, powers, *cap):
+        if cap:
+            blocks.append((r, e, *cap))
+        return build(s1, e, r, powers, *cap)
+
+    monkeypatch.setattr(relations, "_build_system", recording_build)
+    _count_calls(monkeypatch, calls, relations, "solve_linear")
+    code = cli.main(["relate", "--catalog", str(moonshine_catalog_path),
+                     "--from", "9B", "--to", "1A", "--emax", "14"])
+    assert (code, capsys.readouterr().out) == (3, "none\n")
+    assert sorted(blocks) == [(r, 14, 16) for r in range(1, 15)]
+    assert calls == {}
 
 
 def test_relate_emax_builds_each_power_of_the_target_once(

@@ -157,6 +157,28 @@ def test_relate_emax_scan_is_lazy(capsys, moonshine_catalog_path):
     assert run_cli(capsys, *args, str(10 ** 12)) == expected
 
 
+def test_relate_emax_all_r_reports_each_power_past_the_first_relation(
+        capsys, tmp_path):
+    # B(q^r) = T_r(B), one relation of degree r at each power r; past the
+    # first relation the system at r = 1 is underdetermined, which must
+    # not cost the relations at r = 2..4 their degrees
+    base = self_replicable(4, 2, 30)
+    path = tmp_path / "pair.jsonl"
+    path.write_text("".join(
+        json.dumps({"name": name, "area": area,
+                    "coeffs": [str(c) for c in base.coeffs]}) + "\n"
+        for name, area in (("A", "2"), ("B", "3"))))
+    code, out, err = run_cli(capsys, "relate", "--catalog", str(path),
+                             "--from", "A", "--to", "B", "--emax", "4",
+                             "--all-r", "--verify")
+    assert (code, err) == (0, "")
+    assert out == (
+        "r=1 e=1 verified_to=30 f=x\n"
+        "r=2 e=2 verified_to=29 f=x^2+4*x+2\n"
+        "r=3 e=3 verified_to=28 f=x^3+6*x^2+12*x+6\n"
+        "r=4 e=4 verified_to=27 f=x^4+8*x^3+24*x^2+32*x+14\n")
+
+
 @pytest.mark.parametrize("emax", ["0", "-1"])
 @pytest.mark.parametrize("verb", ["relate", "graph-build", "modpoly"])
 def test_nonpositive_emax_is_invalid_input(capsys, tmp_path,

@@ -127,18 +127,14 @@ def test_nullspace_gives_integer_vectors_proportional_to_sympys():
 def test_rank_modulo_a_prime_matches_sympy_and_proves_only_inconsistency():
     """_kernels.pm_pivots equals sympy's pivot columns over GF(p), for a
     small prime that drops ranks often and for RANK_PRIME, and
-    independent_lead is the length of their leading run; proves_inconsistent
-    holds only for systems sympy finds inconsistent, and for every seeded
-    one whose rank survives the prime."""
+    independent_lead is the length of their leading run; a full leading run
+    of nvars + 1 columns holds only for systems sympy finds inconsistent,
+    and for every seeded one whose rank survives the prime."""
     from sympy import GF, ZZ
     from sympy.polys.matrices import DomainMatrix
 
     from moondec import _kernels
-    from moondec.linalg import (
-        RANK_PRIME,
-        independent_lead,
-        proves_inconsistent,
-    )
+    from moondec.linalg import RANK_PRIME, independent_lead
 
     def sympy_pivots(rows, p):
         ncols = len(rows[0])
@@ -167,7 +163,7 @@ def test_rank_modulo_a_prime_matches_sympy_and_proves_only_inconsistency():
         kind, _ = _oracle(rows, nvars)
         inconsistent = kind.endswith("inconsistent")
         full = len(pivots) == nvars + 1
-        assert proves_inconsistent(rows, nvars) == full
+        assert (independent_lead(rows) == nvars + 1) == full
         if full:
             assert inconsistent, rows
             proved += 1

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -582,3 +583,52 @@ def test_lowest_degree_relations_solve_past_a_block_that_drops_rank(
     seen = _check_lowest_degree_relations(
         monkeypatch, (moonshine_catalog_path, synthetic_pair_path))
     assert min(seen.values()) >= 20, seen
+
+
+def test_relate_emax_prints_the_per_degree_scan(
+        capsys, tmp_path, moonshine_catalog_path, synthetic_pair_path):
+    # with no natural area quotient, relate --emax prints the least
+    # relation by (e, r) of the per-degree scan, and --all-r every one of
+    # them in that order, on seeded pairs, replicable self pairs with
+    # relations at several degrees, and the bundled catalogs
+    from moondec.cli import main
+    from moondec.graph import load_catalog
+    from moondec.ratfun import ratfun_text
+    rng = random.Random(74)
+    pairs = [(s1, s2, e + rng.randint(0, 2))
+             for s1, s2, e in _oracle_instances(rng, 60)]
+    for p, s in [(4, 2), *((rng.randint(-3, 4), rng.randint(-3, 3))
+                           for _ in range(5))]:
+        base = self_replicable(p, s, rng.randint(9, 26))
+        pairs.append((base, base, rng.randint(4, 8)))
+    for path in (moonshine_catalog_path, synthetic_pair_path):
+        with open(path, "rb") as handle:
+            catalog = [c.series for c in load_catalog(handle)]
+        for cut in (None, 20, 25):
+            cat = [s.truncate(min(cut or s.prec, s.prec)) for s in catalog]
+            pairs += [(s1, s2, 12) for s1 in cat for s2 in cat]
+    seen = {"none": 0, "one degree": 0, "several degrees": 0}
+    path = tmp_path / "pair.jsonl"
+    for i, (s1, s2, emax) in enumerate(pairs):
+        path.write_text("".join(
+            json.dumps({"name": name, "area": area,
+                        "coeffs": [str(c) for c in s.coeffs]}) + "\n"
+            for name, area, s in (("S", "2", s1), ("T", "3", s2))))
+        with open(path, "rb") as handle:
+            s1, s2 = (c.series for c in load_catalog(handle))
+        expected = sorted(_per_degree_scan(s1, s2, emax).values(),
+                          key=lambda rel: (rel.e, rel.r))
+        for all_r in (False, True):
+            printed = expected if all_r else expected[:1]
+            argv = ["relate", "--catalog", str(path), "--from", "S",
+                    "--to", "T", "--emax", str(emax)]
+            code = main(argv + ["--all-r"] * all_r + ["--verify"] * (i % 2))
+            out, err = capsys.readouterr()
+            lines = [f"r={rel.r} e={rel.e} verified_to={rel.verified_to} "
+                     f"f={ratfun_text(rel.f)}\n" for rel in printed]
+            assert (code, out, err) == \
+                (0 if printed else 3, "".join(lines) or "none\n", ""), \
+                (s1, s2, emax, all_r)
+        degrees = len({rel.e for rel in expected})
+        seen[("none", "one degree", "several degrees")[min(degrees, 2)]] += 1
+    assert min(seen.values()) >= 5, seen
