@@ -73,11 +73,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="src", required=True, metavar="NAME")
     p.add_argument("--to", dest="dst", required=True, metavar="NAME")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--e", type=int, help="candidate degree")
+    group.add_argument("--e", type=int,
+                       help="per power r, the least-degree relation up to E")
     group.add_argument("--emax", type=int,
-                       help="scan degrees 1..EMAX when areas give none")
+                       help="bound the area degree, else scan degrees 1..EMAX")
     p.add_argument("--all-r", action="store_true", dest="all_r",
-                   help="report every power r admitting a relation")
+                   help="every power r with a relation, in (e, r) order")
     p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("graph-build", help="run the pairwise relation search")
@@ -176,22 +177,25 @@ def _cmd_relate(args) -> int:
     e = args.e
     if e is None:
         e = degree_from_areas(src.area, dst.area)
-    if e is not None:
-        if args.all_r:
-            relations = find_all_relations(src.series, dst.series, e)
-        else:
-            rel = find_relation(src.series, dst.series, e)
-            relations = [] if rel is None else [rel]
+    relations = []
+    if e is not None and args.emax is not None and e > args.emax:
+        print(f"note: area quotient gives degree {e}, above --emax "
+              f"{args.emax}", file=sys.stderr)
+    elif e is not None and args.all_r:
+        relations = find_all_relations(src.series, dst.series, e)
+    elif e is not None:
+        rel = find_relation(src.series, dst.series, e)
+        relations = [] if rel is None else [rel]
     elif args.emax is not None:
         (found,) = lowest_degree_relations([src.series], dst.series,
                                            args.emax)
-        relations = sorted(found.values(), key=lambda rel: (rel.e, rel.r))
-        if not args.all_r:
-            relations = relations[:1]
+        relations = list(found.values())
     else:
         print("note: area quotient is not a natural number and no --e/--emax "
               "given", file=sys.stderr)
-        relations = []
+    relations.sort(key=lambda rel: (rel.e, rel.r))
+    if not args.all_r:
+        relations = relations[:1]
     if not relations:
         print("none")
         return 3

@@ -34,7 +34,6 @@ from moondec.errors import (
     InsufficientPrecisionError,
     MoondecError,
     NonMonicPrincipalPartError,
-    UnderdeterminedSystemError,
     UnknownNodeError,
     VerificationFailureError,
 )
@@ -215,8 +214,6 @@ def _relate_pair(task):
         rel = find_relation(src.series, dst.series, e)
     except InsufficientPrecisionError:
         return skip("insufficient-precision")
-    except UnderdeterminedSystemError:
-        return skip("underdetermined-system")
     if rel is None:
         return skip("no-relation")
     return GraphEdge(src.name, dst.name, rel.e, rel.r, rel.f), []

@@ -12,10 +12,9 @@ the denominator are solved for, one linear equation per certified
 coefficient of sum_j b_j R_j from q^1; the system must be overdetermined
 (at least one more equation than unknowns) so that a solution on truncated
 data actually means something; a solution needs no evaluation of f(s2)
-(see _try_r).  The r-loop returns the first success (lowest r).  P_j and
-R_0 comes from cancelling the principal part of s1(q^r) with powers of
-s2, one integer row subtraction per term, and R_j = s2*R_(j-1) - rho from
-one product with s2 (see _build_system).
+(see _try_r).  P_j and R_0 come from cancelling the principal part of
+s1(q^r) with powers of s2, one integer row subtraction per term, and
+R_j = s2*R_(j-1) - rho from one product with s2 (see _build_system).
 
 Most systems are inconsistent, and the scan rejects those on a leading
 block before it builds them in full (see _lowest_relation).  Columns
@@ -27,9 +26,11 @@ first e - r + 1 columns are a row subset of the degree-e system [A | b];
 independent modulo a prime, they are independent over Q, so that system
 is inconsistent and needs no exact elimination.  Every degree the block
 does not reject is solved exactly, so the test changes no result.
-``_scan`` runs this at one degree, and ``lowest_degree_relations`` at
-every degree up to a bound, as modular polynomials and ``relate --emax``
-need, each r stopping at its first relation.
+
+One rule serves every caller: for each r = 1..top, the relation of least
+degree e <= top, or none.  ``find_relation`` takes the lowest such r and
+``find_all_relations`` every one, at top = e; ``lowest_degree_relations``
+every one up to the degree bound that the series certify.
 """
 
 from __future__ import annotations
@@ -221,10 +222,9 @@ def _solved(s1, s2, e, r, system, polys):
     return Relation(r, f, e, min(r * s1.prec, s2.prec - r + 1))
 
 
-def _lowest_relation(s1: QSeries, s2: QSeries, r: int, low: int, top: int,
-                     powers: list[GeneralLaurent],
-                     skip_underdetermined: bool):
-    """The relation at power r of least degree e in low..top, or None; both
+def _lowest_relation(s1: QSeries, s2: QSeries, r: int, top: int,
+                     powers: list[GeneralLaurent]):
+    """The relation at power r of least degree e <= top, or None; both
     series certified through q^(2*top+1), and ``powers`` a table of s2's
     powers through s2^r at least.
 
@@ -240,34 +240,54 @@ def _lowest_relation(s1: QSeries, s2: QSeries, r: int, low: int, top: int,
     subset of the degree-e system [A | b]; independent modulo the prime,
     they are independent over Q (see linalg.independent_lead), so
     rank [A | b] = e - r + 1 > rank A and the system is inconsistent.
-    From e = max(low, r + k) on, each degree is solved exactly, the block
-    itself when at e = top it holds every certified row, until the first
-    relation.  An underdetermined system raises, or with
-    skip_underdetermined records nothing at that degree.
+    From e = r + k on, each degree is solved exactly, the block itself
+    when at e = top it holds every certified row, until the first
+    relation.
+
+    A relation at degree e0 < top stops the scan at e0 at the latest: its
+    sum_j b_j R_j vanishes on every certified row of the degree-e0 system,
+    the block's among them, so the block's first e0 - r + 1 columns are
+    dependent, k <= e0 - r, and e0 is solved before any higher degree.  A
+    reducible solution num = g*num1, den = g*den1 at e is no relation,
+    but den1(s2)*s1(q^r) - num1(s2) vanishes on every row at e - deg g, by
+    the shift of the bound (see lowest_degree_relations), a degree the
+    scan met first.  An underdetermined system at e means something
+    weaker: the difference of two solutions vanishes only through the
+    degree-e rows, a near-relation of lower degree and not a certified
+    one, so the scan records nothing at that degree and moves on.
     """
     block, polys = _build_system(s1, top, r, powers, top + 2)
     lead = linalg.independent_lead(
         [(*row, b) for row, b in zip(block.matrix, block.rhs)])
     whole = _row_count(s1.prec, s2.prec, top, r) == top + 2
-    for e in range(max(low, r + lead), top + 1):
+    for e in range(r + lead, top + 1):
         try:
             if e == top and whole:  # the block is the full system
                 rel = _solved(s1, s2, e, r, block, polys)
             else:
                 rel = _try_r(s1, s2, e, r, powers)
         except UnderdeterminedSystemError:
-            if not skip_underdetermined:
-                raise
             continue
         if rel is not None:
             return rel
     return None
 
 
-def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
-    """Verified relations for r = 1..e, lowest r first, found lazily, each
-    by _lowest_relation at the one degree e, from one table of s2's
-    powers."""
+def _relations(s1: QSeries, s2: QSeries, top: int,
+               powers: list[GeneralLaurent]):
+    """For r = 1..top, lowest r first and found lazily, the relation of
+    least degree e <= top at power r (see _lowest_relation); ``powers`` is
+    a table of s2's powers, grown in place."""
+    for r in range(1, top + 1):
+        series_powers(s2.laurent, r, powers)
+        rel = _lowest_relation(s1, s2, r, top, powers)
+        if rel is not None:
+            yield rel
+
+
+def _relations_through(s1: QSeries, s2: QSeries, e: int):
+    """_relations through degree e, once both series are checked to be
+    certified through q^(2e+1)."""
     if e < 1:
         raise InvalidInputError("degree must be a positive integer")
     need = 2 * e + 1
@@ -275,58 +295,39 @@ def _scan(s1: QSeries, s2: QSeries, e: int, skip_underdetermined: bool):
         raise InsufficientPrecisionError(
             f"series must be certified through q^{need} "
             f"(have {s1.prec} and {s2.prec})")
-    powers = None
-    for r in range(1, e + 1):
-        powers = series_powers(s2.laurent, r, powers)
-        rel = _lowest_relation(s1, s2, r, e, e, powers, skip_underdetermined)
-        if rel is not None:
-            yield rel
+    return _relations(s1, s2, e, [GeneralLaurent.exact_scalar(1)])
 
 
 def find_relation(s1: QSeries, s2: QSeries, e: int):
-    """First (lowest-r) verified relation s1(q^r) = f(s2(q)), or None."""
-    return next(_scan(s1, s2, e, False), None)
+    """The lowest-r relation of find_all_relations, or None."""
+    return next(_relations_through(s1, s2, e), None)
 
 
-def find_all_relations(s1: QSeries, s2: QSeries, e: int,
-                       skip_underdetermined: bool = False) -> list[Relation]:
-    """Every r in 1..e admitting a verified relation (exhaustive mode).
-
-    An underdetermined system at some r propagates as an error by default;
-    with skip_underdetermined the scan records nothing for that r and
-    keeps going, so that relations at other powers are still reported.
-    """
-    return list(_scan(s1, s2, e, skip_underdetermined))
+def find_all_relations(s1: QSeries, s2: QSeries, e: int) -> list[Relation]:
+    """For every r in 1..e admitting a relation of degree at most e, the
+    one of least degree, in order of r (exhaustive mode)."""
+    return list(_relations_through(s1, s2, e))
 
 
 def lowest_degree_relations(sources, s2: QSeries, emax: int):
     """For each series s1 of ``sources`` in turn, {r: the relation
     s1(q^r) = f(s2(q)) of least degree e}, over e = 1..top, where top <=
     emax is the last degree at which both series are certified through
-    q^(2e+1); underdetermined systems record nothing.  Each r takes one
-    _lowest_relation over degrees 1..top, so the result is the per-degree
-    scan's.  One table of s2's powers serves every source and power, and
+    q^(2e+1).  One table of s2's powers serves every source and power, and
     lives as long as the generator.
 
-    A power r that has a relation at degree e0 is not scanned at e > e0.
-    Its system there always ends in UnderdeterminedSystemError, which
-    this scan discards: with den0(s2)*s1(q^r) - num0(s2) vanishing through
-    q^bound0, den = den0*g solves it for every monic g of degree e - e0,
-    since g(s2) leads with q^(e0-e) and bound0 = bound + e - e0 (the bound
-    formula of _try_r shifts by the degree).  So every certified row of
-    the degree-e system vanishes, on a family of solutions that no leading
-    block rejects.  Nor can an error be skipped: through top every system
-    has _row_count >= e + 2 rows for its e - r unknowns, so
-    _build_system's InsufficientPrecisionError cannot fire, and the
-    per-degree scan stops at top + 1 on its own check of q^(2e+1).
+    A power r that has a relation at degree e0 has none at e > e0.  Its
+    system there always ends in UnderdeterminedSystemError: with
+    den0(s2)*s1(q^r) - num0(s2) vanishing through q^bound0, den = den0*g
+    solves it for every monic g of degree e - e0, since g(s2) leads with
+    q^(e0-e) and bound0 = bound + e - e0 (the bound formula of _try_r
+    shifts by the degree).  So every certified row of the degree-e system
+    vanishes, on a family of solutions that no leading block rejects.  Nor
+    can an error be skipped: through top every system has _row_count >=
+    e + 2 rows for its e - r unknowns, so _build_system's
+    InsufficientPrecisionError cannot fire.
     """
     powers = [GeneralLaurent.exact_scalar(1)]
     for s1 in sources:
         top = min(emax, (min(s1.prec, s2.prec) - 1) // 2)
-        found: dict[int, Relation] = {}
-        for r in range(1, top + 1):
-            powers = series_powers(s2.laurent, r, powers)
-            rel = _lowest_relation(s1, s2, r, 1, top, powers, True)
-            if rel is not None:
-                found[r] = rel
-        yield found
+        yield {rel.r: rel for rel in _relations(s1, s2, top, powers)}

@@ -45,7 +45,8 @@ def self_replicable(p, s, prec):
         - eval_ratfun_at_series(
             RatFun(Poly.from_coeffs([s, p, 1]), Poly.from_coeffs([1])),
             series)
-    assert check.is_zero, "recurrence construction must verify"
+    if not check.is_zero:  # explicit, so that it holds under python -O
+        raise AssertionError("recurrence construction must verify")
     return series
 
 
@@ -76,5 +77,6 @@ def plant(rng, e, r, prec=None, coeff_bound=5):
              for _ in range(prec + 1)])
         s2 = inner_series_solve(f, substitute_power(s1, r)).truncate(prec)
     diff = substitute_power(s1, r) - eval_ratfun_at_series(f, s2)
-    assert diff.is_zero, "planting must verify forward"
+    if not diff.is_zero:
+        raise AssertionError("planting must verify forward")
     return s1, s2, f

@@ -124,8 +124,7 @@ def test_criterion_3_moonshine_round_trip(flagship, moonshine_catalog_path):
     assert all(forward.coeff(k) == target.coeff(k)
                for k in range(-3, bound + 1))
     partner = partner.truncate(25)
-    relations = find_all_relations(j.truncate(25), partner, 12,
-                                   skip_underdetermined=True)
+    relations = find_all_relations(j.truncate(25), partner, 12)
     assert any(rel.r == 3 and rel.f == flagship for rel in relations)
     first = find_relation(j.truncate(25), partner, 12)
     assert first is not None

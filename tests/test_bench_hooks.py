@@ -166,8 +166,7 @@ def test_every_block_takes_the_rank_test_before_any_solve(
     calls = {}
     _count_calls(monkeypatch, calls, linalg, "independent_lead")
     _count_calls(monkeypatch, calls, relations, "solve_linear")
-    found = relations.find_all_relations(series["1A"], series["9B"], 12,
-                                         True)
+    found = relations.find_all_relations(series["1A"], series["9B"], 12)
     assert [(rel.r, rel.verified_to) for rel in found] == \
         [(1, 25), (3, 23), (9, 17)]
     assert calls == {"independent_lead": 12, "solve_linear": 3}

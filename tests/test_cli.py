@@ -161,22 +161,37 @@ def test_relate_emax_all_r_reports_each_power_past_the_first_relation(
         capsys, tmp_path):
     # B(q^r) = T_r(B), one relation of degree r at each power r; past the
     # first relation the system at r = 1 is underdetermined, which must
-    # not cost the relations at r = 2..4 their degrees
+    # not cost the relations at r = 2..4 their degrees, whether the scan
+    # is bounded by --emax or runs at the fixed degree --e
     base = self_replicable(4, 2, 30)
     path = tmp_path / "pair.jsonl"
     path.write_text("".join(
         json.dumps({"name": name, "area": area,
                     "coeffs": [str(c) for c in base.coeffs]}) + "\n"
         for name, area in (("A", "2"), ("B", "3"))))
-    code, out, err = run_cli(capsys, "relate", "--catalog", str(path),
-                             "--from", "A", "--to", "B", "--emax", "4",
-                             "--all-r", "--verify")
-    assert (code, err) == (0, "")
-    assert out == (
-        "r=1 e=1 verified_to=30 f=x\n"
-        "r=2 e=2 verified_to=29 f=x^2+4*x+2\n"
-        "r=3 e=3 verified_to=28 f=x^3+6*x^2+12*x+6\n"
-        "r=4 e=4 verified_to=27 f=x^4+8*x^3+24*x^2+32*x+14\n")
+    for flag in ("--emax", "--e"):
+        code, out, err = run_cli(capsys, "relate", "--catalog", str(path),
+                                 "--from", "A", "--to", "B", flag, "4",
+                                 "--all-r", "--verify")
+        assert (code, err) == (0, ""), flag
+        assert out == (
+            "r=1 e=1 verified_to=30 f=x\n"
+            "r=2 e=2 verified_to=29 f=x^2+4*x+2\n"
+            "r=3 e=3 verified_to=28 f=x^3+6*x^2+12*x+6\n"
+            "r=4 e=4 verified_to=27 f=x^4+8*x^3+24*x^2+32*x+14\n"), flag
+
+
+@pytest.mark.parametrize("all_r", [False, True])
+def test_relate_fixed_degree_reports_the_identity(capsys,
+                                                  moonshine_catalog_path,
+                                                  all_r):
+    # the identity is the least-degree relation at r = 1; at --e 2 the
+    # degree-2 system at r = 1 is underdetermined, and records nothing
+    code, out, err = run_cli(capsys, "relate", "--catalog",
+                             str(moonshine_catalog_path), "--from", "1A",
+                             "--to", "1A", "--e", "2", "--verify",
+                             *["--all-r"] * all_r)
+    assert (code, out, err) == (0, "r=1 e=1 verified_to=30 f=x\n", "")
 
 
 @pytest.mark.parametrize("emax", ["0", "-1"])
@@ -295,6 +310,12 @@ def test_graph_build_skips_a_pair_short_of_precision(
         '"reason":"insufficient-precision"}',
         '{"kind":"skip","from":"9B","to":"1A",'
         '"reason":"area-quotient-not-natural"}']
+    # relate --emax bounds the area degree as graph-build --emax does,
+    # before it asks for any precision
+    code, out, err = run_cli(capsys, "relate", "--catalog", str(catalog),
+                             "--from", "1A", "--to", "9B", "--emax", "1")
+    assert (code, out, err) == \
+        (3, "none\n", "note: area quotient gives degree 12, above --emax 1\n")
 
 
 def test_chains_same_node(capsys, tmp_path, moonshine_catalog_path):

@@ -211,8 +211,8 @@ def _planted_four_graph(catalog, funs):
 
     The (X, B) pair carries relations at two powers (X = chi(B) at r=1 of
     degree 2 and X(q^2) = (chi o phi)(B) at r=2 of degree 4); the pairwise
-    search at e=4 correctly refuses the non-unique r=1 system, so the r=2
-    edge is planted directly here.
+    search at e=4 returns the lowest power, r=1, so the r=2 edge is
+    planted directly here.
     """
     nodes = tuple(GraphNode(c.name, c.series, "catalog") for c in catalog)
     edges = (
@@ -237,11 +237,10 @@ def test_build_planted_four(planted_four_catalog):
     assert ("Y", "B", 2, 1) in labels
     assert ("D2", "B", 4, 1) in labels
     assert ("D2", "Y", 2, 1) in labels
-    # (X, B): the degree-2 relation X = chi(B) makes the degree-4 r=1
-    # ansatz non-unique, which is reported as a skip, not guessed
-    skip = next(r for r in report
-                if r["kind"] == "skip" and r["from"] == "X" and r["to"] == "B")
-    assert skip["reason"] == "underdetermined-system"
+    # (X, B): the area degree is 4, and r = 1 has its least-degree
+    # relation X = chi(B) at degree 2, below the r = 2 one
+    assert ("X", "B", 2, 1) in labels
+    assert not any(r["from"] == "X" and r["to"] == "B" for r in report)
 
 
 def test_refine_planted_four(planted_four_catalog):

@@ -332,7 +332,7 @@ def test_verified_to_matches_verify_relation_on_uneven_precisions():
             s1 = s1.truncate(2 * e + 1 + rng.randint(0, 2))
         else:
             s2 = s2.truncate(rng.randint(2 * e + 1, prec))
-        found = find_all_relations(s1, s2, e, skip_underdetermined=True)
+        found = find_all_relations(s1, s2, e)
         assert any(rel.r == r for rel in found), (s1, s2, e, r)
         for rel in found:
             assert rel.verified_to == verify_relation(s1, s2, rel), \
@@ -375,7 +375,6 @@ def test_block_rejection_matches_the_full_scan():
         head_powers = series_powers(head2.laurent, e)
         powers = series_powers(s2.laurent, e)
         fractional = any(c.denominator > 1 for c in s1.coeffs + s2.coeffs)
-        outcomes = []  # the reference: _try_r on the full series, every r
         for r in range(1, e + 1):
             block = _build_system(head1, e, r, head_powers)[0]
             try:
@@ -398,20 +397,10 @@ def test_block_rejection_matches_the_full_scan():
                 seen["Fraction coefficients"] += fractional
             else:
                 seen[got] += 1
-            outcomes.append(got)
-        for skip in (False, True):
-            expected = []
-            for got in outcomes:
-                if got == "underdetermined" and not skip:
-                    expected = "underdetermined"
-                    break
-                if isinstance(got, Relation):
-                    expected.append(got)
-            try:
-                found = find_all_relations(s1, s2, e, skip)
-            except UnderdeterminedSystemError:
-                found = "underdetermined"
-            assert found == expected, (s1, s2, e, skip)
+        # the reference: _try_r on the full series at every (e, r)
+        expected = sorted(_per_degree_scan(s1, s2, e).items())
+        assert find_all_relations(s1, s2, e) == \
+            [rel for _, rel in expected], (s1, s2, e)
     assert min(seen.values()) >= 20, seen
 
 
@@ -494,15 +483,21 @@ def test_integer_build_pads_bodies_that_end_in_zeros():
 
 
 def _per_degree_scan(s1, s2, emax):
-    """{r: lowest-degree relation}, by scanning every r at every degree."""
+    """{r: lowest-degree relation}, by an exact solve of every r at every
+    degree e = 1..emax that both series certify through q^(2e+1), with no
+    leading block; an underdetermined system records nothing."""
     found = {}
     for e in range(1, emax + 1):
-        try:
-            rels = find_all_relations(s1, s2, e, skip_underdetermined=True)
-        except InsufficientPrecisionError:
+        if min(s1.prec, s2.prec) < 2 * e + 1:
             break
-        for rel in rels:
-            found.setdefault(rel.r, rel)
+        powers = series_powers(s2.laurent, e)
+        for r in range(1, e + 1):
+            try:
+                rel = _try_r(s1, s2, e, r, powers)
+            except UnderdeterminedSystemError:
+                continue
+            if rel is not None:
+                found.setdefault(r, rel)
     return found
 
 
