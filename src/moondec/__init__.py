@@ -9,13 +9,10 @@ relations at different powers.  All arithmetic is exact.
 
 from moondec.bivariate import PolyOverPoly
 from moondec.decompose import (
-    Decomposition,
-    DecompositionChain,
     all_chains,
     candidate_components,
     chains_equivalent,
     decompose_one_level,
-    equivalent,
     left_component,
     unit_linking,
 )

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, reduce
 from math import lcm
 
 from moondec.bivariate import bivariate_text
-from moondec.decompose import DecompositionChain, all_chains, decompose_one_level
+from moondec.decompose import all_chains, decompose_one_level
 from moondec.errors import (
     InvalidInputError,
     MoondecError,
@@ -34,7 +34,7 @@ from moondec.graph import (
     refine_graph,
 )
 from moondec.parsing import parse_ratfun
-from moondec.ratfun import ratfun_text
+from moondec.ratfun import compose, ratfun_text
 from moondec.relations import (
     Relation,
     degree_from_areas,
@@ -147,13 +147,13 @@ def _write_report(path, records):
 def _cmd_decompose(args) -> int:
     f = parse_ratfun(args.function)
     if args.chains:
-        chains = [chain.components for chain in all_chains(f)]
+        chains = all_chains(f)
         for parts in chains:
             degrees = "*".join(str(c.degree) for c in parts)
             body = " o ".join(ratfun_text(c) for c in parts)
             print(f"chain length {len(parts)} degrees {degrees}: {body}")
     else:
-        chains = [(dec.outer, dec.inner) for dec in decompose_one_level(f)]
+        chains = decompose_one_level(f)
         if not chains:
             print("indecomposable")
             return 3
@@ -163,13 +163,14 @@ def _cmd_decompose(args) -> int:
     if args.verify:
         for parts in chains:
             parsed = [parse_ratfun(ratfun_text(c)) for c in parts]
-            if DecompositionChain(tuple(parsed)).target() != f:
+            if reduce(compose, parsed) != f:
                 raise VerificationFailureError(
                     "printed decomposition does not compose back to the input")
     return 0
 
 
 def _cmd_relate(args) -> int:
+    _check_positive("--e", args.e)
     _check_positive("--emax", args.emax)
     catalog = _load_catalog_file(args.catalog)
     src = _entry(catalog, args.src)

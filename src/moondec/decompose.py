@@ -14,11 +14,15 @@ No two candidates are equivalent under the unit twist
 (g, h) ~ (g o w^-1, w o h), so nothing is de-duplicated: each has h(0) = 0
 and a pole at infinity, so a unit w with h2 = w o h1 fixes 0 and infinity
 and is c*x, and monic numerators force c = 1.
+
+A decomposition is the tuple of its components, outermost first: a pair
+(g, h) from decompose_one_level, a complete chain from all_chains.  Two
+chains of one target are equivalent when units link them component by
+component (unit_linking, chains_equivalent).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -26,7 +30,6 @@ from math import gcd
 from moondec import linalg
 from moondec.errors import (
     DegreeMismatchError,
-    DifferentTargetError,
     InvalidInputError,
     NotNormalFormError,
     VerificationFailureError,
@@ -43,32 +46,6 @@ from moondec.ratfun import (
     unit,
     unit_inverse,
 )
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    outer: RatFun
-    inner: RatFun
-
-    def target(self) -> RatFun:
-        return compose(self.outer, self.inner)
-
-
-@dataclass(frozen=True)
-class DecompositionChain:
-    """Indecomposable components, outermost first."""
-
-    components: tuple[RatFun, ...]
-
-    def target(self) -> RatFun:
-        result = self.components[-1]
-        for part in reversed(self.components[:-1]):
-            result = compose(part, result)
-        return result
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(c.degree for c in self.components)
 
 
 def _monic_divisors(fact: Factorization) -> list[Poly]:
@@ -127,13 +104,13 @@ def _expand(p: Poly, basis: list[Poly]):
 
 
 def left_component(f: RatFun, h: RatFun):
-    """The unique g with f = g o h, or None.
+    """The unique g with f = g o h, or None; h needs a pole at infinity,
+    deg num(h) > deg den(h), as every candidate component has.
 
     For g of degree m = deg f / deg h, num(g o h) and den(g o h) are the
     coprime combinations of num(h)^i * den(h)^(m-i) with the coefficients
     of num(g) and den(g), so num(f) and den(f) expand in that basis iff g
-    exists.  Its degrees increase strictly when deg num(h) > deg den(h);
-    otherwise w = 1/(x - h(infinity)) moves h there, and g = g' o w.
+    exists; the pole at infinity makes its degrees increase strictly.
     """
     if h.degree < 2:
         raise DegreeMismatchError("inner component must have degree >= 2")
@@ -141,13 +118,7 @@ def left_component(f: RatFun, h: RatFun):
         raise DegreeMismatchError(
             f"degree {h.degree} does not divide degree {f.degree}")
     if h.num.degree <= h.den.degree:
-        at_infinity = (h.num.lc / h.den.lc
-                       if h.num.degree == h.den.degree else 0)
-        w = unit(0, 1, 1, -at_infinity)
-        dec = left_component(f, compose(w, h))
-        if dec is None:
-            return None
-        return Decomposition(compose(dec.outer, w), h)
+        raise DegreeMismatchError("inner component needs a pole at infinity")
     basis = power_basis(h, f.degree // h.degree)
     num = _expand(f.num, basis)
     if num is None:
@@ -158,7 +129,7 @@ def left_component(f: RatFun, h: RatFun):
     g = RatFun.make(Poly.from_coeffs(num), Poly.from_coeffs(den))
     if g.is_constant or _homogenized(g, basis) != f:
         return None
-    return Decomposition(g, h)
+    return g
 
 
 def unit_linking(h1: RatFun, h2: RatFun):
@@ -183,16 +154,9 @@ def unit_linking(h1: RatFun, h2: RatFun):
     return w if compose(w, h1) == h2 else None
 
 
-def equivalent(d1: Decomposition, d2: Decomposition) -> bool:
-    """(g1, h1) ~ (g2, h2) iff a unit w gives h2 = w o h1."""
-    if d1.target() != d2.target():
-        raise DifferentTargetError(
-            "decompositions do not target the same function")
-    return unit_linking(d1.inner, d2.inner) is not None
-
-
-def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
-    """One representative per equivalence class of decompositions of f.
+def decompose_one_level(f: RatFun) -> tuple[tuple[RatFun, RatFun], ...]:
+    """One (outer, inner) pair per equivalence class of decompositions of
+    f, outer o inner = f.
 
     Empty means f is indecomposable.  Deterministic: candidates are tried
     by ascending inner degree, then lexicographically; each one that
@@ -205,17 +169,17 @@ def decompose_one_level(f: RatFun) -> tuple[Decomposition, ...]:
     u, v, fbar = to_normal_form(f)
     u_inv = unit_inverse(u)
     v_inv = unit_inverse(v)
-    found: list[Decomposition] = []
+    found = []
     for h in candidate_components(fbar):
-        dec = left_component(fbar, h)
-        if dec is None:
+        g = left_component(fbar, h)
+        if g is None:
             continue
-        outer = compose(u_inv, dec.outer)
+        outer = compose(u_inv, g)
         inner = compose(h, v_inv)
         if compose(outer, inner) != f:
             raise VerificationFailureError(
                 "de-normalized decomposition does not compose back to f")
-        found.append(Decomposition(outer, inner))
+        found.append((outer, inner))
     return tuple(found)
 
 
@@ -238,25 +202,25 @@ def chains_equivalent(c1, c2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _chains_cached(f: RatFun) -> tuple[DecompositionChain, ...]:
+def _chains_cached(f: RatFun) -> tuple[tuple[RatFun, ...], ...]:
     if f.degree < 2:
-        return (DecompositionChain((f,)),)
+        return ((f,),)
     splits = decompose_one_level(f)
     if not splits:
-        return (DecompositionChain((f,)),)
-    out: list[DecompositionChain] = []
-    for dec in splits:
-        for left in _chains_cached(dec.outer):
-            for right in _chains_cached(dec.inner):
-                chain = DecompositionChain(left.components + right.components)
-                if not any(chains_equivalent(chain.components, c.components)
-                           for c in out):
+        return ((f,),)
+    out: list[tuple[RatFun, ...]] = []
+    for outer, inner in splits:
+        for left in _chains_cached(outer):
+            for right in _chains_cached(inner):
+                chain = left + right
+                if not any(chains_equivalent(chain, c) for c in out):
                     out.append(chain)
     return tuple(out)
 
 
-def all_chains(f: RatFun) -> tuple[DecompositionChain, ...]:
-    """All complete decomposition chains up to componentwise equivalence."""
+def all_chains(f: RatFun) -> tuple[tuple[RatFun, ...], ...]:
+    """All complete decomposition chains up to componentwise equivalence,
+    each a tuple of indecomposable components, outermost first."""
     if f.degree < 1:
         raise InvalidInputError("chains need degree >= 1")
     return _chains_cached(f)

@@ -48,10 +48,6 @@ class DegreeMismatchError(MoondecError):
     category = "degree-mismatch"
 
 
-class DifferentTargetError(MoondecError):
-    category = "different-target-function"
-
-
 class RatFunSyntaxError(MoondecError):
     """Grammar violation; ``position`` is a 0-based offset into the input."""
 

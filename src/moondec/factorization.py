@@ -234,25 +234,22 @@ def _recombine(f, lifted, target):
     current = list(f)
     size = 1
     while 2 * size <= len(rest):
-        retry = True
-        while retry and 2 * size <= len(rest):
-            retry = False
-            for combo in combinations(rest, size):
-                g = [current[-1] % target]
-                for i in combo:
-                    g = _kernels.poly_mul(g, lifted[i], target)
-                g = _int_primitive(_symmetric(g, target))
-                if g[0] and current[0] % g[0]:
-                    continue  # constant term cannot divide: skip early
-                quot, rem = poly_divrem(Poly.make(current, 1), Poly.make(g, 1))
-                if not rem.is_zero:
-                    continue
-                result.append(g)
-                current = list(quot.nums)
-                rest = [i for i in rest if i not in combo]
-                retry = True
-                break
-        size += 1
+        for combo in combinations(rest, size):
+            g = [current[-1] % target]
+            for i in combo:
+                g = _kernels.poly_mul(g, lifted[i], target)
+            g = _int_primitive(_symmetric(g, target))
+            if g[0] and current[0] % g[0]:
+                continue  # constant term cannot divide: skip early
+            quot, rem = poly_divrem(Poly.make(current, 1), Poly.make(g, 1))
+            if not rem.is_zero:
+                continue
+            result.append(g)
+            current = list(quot.nums)
+            rest = [i for i in rest if i not in combo]
+            break  # a factor found: retry the same size on what is left
+        else:
+            size += 1
     if len(current) - 1 >= 1:
         result.append(current)
     return result

@@ -259,7 +259,7 @@ def _series_monic_unit(t: GeneralLaurent):
     if t.lead < 0:
         return unit(1, 0, 0, t.coeff(t.lead))
     c0 = t.coeff(0)
-    rest = t.add_scalar(-c0)
+    rest = t - GeneralLaurent.exact_scalar(c0)
     if rest.is_zero:
         return None
     return unit(0, rest.coeff(rest.lead), 1, -c0)
@@ -331,14 +331,15 @@ class _Refiner:
 
     def try_split(self, edge: GraphEdge, dec):
         """One decomposition f = g o h of an edge -> two edges, or None."""
+        outer, inner = dec
         dst_series = self.by_name[edge.dst].series
-        t0 = eval_ratfun_at_series(dec.inner, dst_series)
+        t0 = eval_ratfun_at_series(inner, dst_series)
         w = _series_monic_unit(t0)
         if w is None:
             self.warn(edge, "inner-series-constant-to-precision")
             return None
-        inner = compose(w, dec.inner)
-        outer = compose(dec.outer, unit_inverse(w))
+        inner = compose(w, inner)
+        outer = compose(outer, unit_inverse(w))
         t = eval_ratfun_at_series(inner, dst_series)
         s = power_support(t)
         if s != -t.lead:

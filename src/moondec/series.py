@@ -119,10 +119,6 @@ class GeneralLaurent:
             raise ValueError("cannot extend certified precision")
         return _series(self.lead, self.body.nums, self.body.den, prec)
 
-    def add_scalar(self, value) -> GeneralLaurent:
-        """Add an exact constant (affects only the q^0 coefficient)."""
-        return self + GeneralLaurent.exact_scalar(value)
-
     def __add__(self, other: GeneralLaurent) -> GeneralLaurent:
         return combine_powers((1, 1), 1, (self, other))
 
@@ -207,9 +203,6 @@ class QSeries:
         """c_0, ..., c_prec as Fractions."""
         return self.laurent.coeffs[1:]
 
-    def to_laurent(self) -> GeneralLaurent:
-        return self.laurent
-
     @staticmethod
     def from_laurent(t: GeneralLaurent) -> QSeries:
         if t.prec == EXACT:
@@ -287,7 +280,7 @@ def eval_poly_on_powers(p: Poly, powers) -> GeneralLaurent:
 def eval_ratfun_at_series(f: RatFun, s) -> GeneralLaurent:
     """f evaluated at a series (QSeries or GeneralLaurent); num and den
     share one table of powers."""
-    t = s.to_laurent() if isinstance(s, QSeries) else s
+    t = s.laurent if isinstance(s, QSeries) else s
     try:
         powers = series_powers(t, block_size(f.degree))
         return (eval_poly_on_powers(f.num, powers)

@@ -123,12 +123,13 @@ def test_relate_all_r_moonshine(capsys, moonshine_catalog_path):
     assert any(l.endswith(f"f={expanded}") for l in lines)
 
 
-def test_relate_nonpositive_degree(capsys, moonshine_catalog_path):
+@pytest.mark.parametrize("e", ["0", "-3"])
+def test_relate_nonpositive_degree(capsys, moonshine_catalog_path, e):
     code, _, err = run_cli(capsys, "relate", "--catalog",
                            str(moonshine_catalog_path),
-                           "--from", "1A", "--to", "9B", "--e", "0")
+                           "--from", "1A", "--to", "9B", "--e", e)
     assert code == 2
-    assert err.startswith("error: invalid-input:")
+    assert err.startswith("error: invalid-input: --e")
 
 
 def test_relate_unknown_node(capsys, moonshine_catalog_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from oracles import outer_by_nullspace
@@ -9,14 +10,11 @@ from moondec.decompose import (
     candidate_components,
     chains_equivalent,
     decompose_one_level,
-    equivalent,
     left_component,
     unit_linking,
-    Decomposition,
 )
 from moondec.errors import (
     DegreeMismatchError,
-    DifferentTargetError,
     InvalidInputError,
     NotNormalFormError,
 )
@@ -56,14 +54,12 @@ def test_candidates_prime_degree_empty():
 
 def test_left_component_flagship_outer(flagship):
     h = parse_ratfun("x*(x^2-6*x+36)/(x^2+3*x+9)")
-    dec = left_component(flagship, h)
-    assert dec is not None
-    assert dec.outer == parse_ratfun("x^3*(x+24)/(x-3)")
+    assert left_component(flagship, h) == parse_ratfun("x^3*(x+24)/(x-3)")
 
 
 def test_left_component_power():
-    dec = left_component(parse_ratfun("x^4"), parse_ratfun("x^2"))
-    assert dec.outer == parse_ratfun("x^2")
+    assert left_component(parse_ratfun("x^4"), parse_ratfun("x^2")) \
+        == parse_ratfun("x^2")
 
 
 def test_left_component_none_when_impossible():
@@ -85,6 +81,9 @@ def test_left_component_degree_mismatch():
         left_component(parse_ratfun("x^4"), parse_ratfun("x^3"))
     with pytest.raises(DegreeMismatchError):
         left_component(parse_ratfun("x^4"), parse_ratfun("x+1"))
+    # h needs a pole at infinity: deg num(h) <= deg den(h) is rejected
+    with pytest.raises(DegreeMismatchError):
+        left_component(parse_ratfun("1/(x^4+1)"), parse_ratfun("1/(x^2+1)"))
 
 
 def _inner_of_shape(rng, shape):
@@ -113,17 +112,17 @@ def _outcome(f, h):
         with pytest.raises(DegreeMismatchError):
             left_component(f, h)
         return "mismatch"
-    dec = left_component(f, h)
-    got = None if dec is None else (list(dec.outer.num.coeffs),
-                                    list(dec.outer.den.coeffs))
+    g = left_component(f, h)
+    got = None if g is None else (list(g.num.coeffs), list(g.den.coeffs))
     assert got == expected, (f, h)
-    return "none" if dec is None else "match"
+    return "none" if g is None else "match"
 
 
 def test_left_component_matches_nullspace_oracle():
     """The h-expansion against the homogeneous linear system it replaced,
-    for inner components of every pole shape; f = g o h recovers g, and
-    f + x gets the oracle's answer: None or a degree mismatch."""
+    for inner components with a pole at infinity: f = g o h recovers g,
+    and f + x gets the oracle's answer, None or a degree mismatch.  An
+    inner component of the other pole shapes is a degree mismatch."""
     rng = random.Random(2027)
     seen = set()
     for k in range(96):
@@ -135,18 +134,19 @@ def test_left_component_matches_nullspace_oracle():
             g = RatFun.make(Poly.from_coeffs([rng.randint(-3, 3), 1]),
                             Poly.from_coeffs([rng.randint(-3, 3) or 1]))
         f = compose(g, h)
+        if shape != 1:
+            with pytest.raises(DegreeMismatchError):
+                left_component(f, h)
+            continue
         assert _outcome(f, h) == "match"
-        assert left_component(f, h).outer == g
-        seen.add((shape, _outcome(f + RatFun.identity(), h)))
-    assert {outcome for _, outcome in seen} == {"none", "mismatch"}
-    assert {shape for shape, _ in seen} == {-1, 0, 1}
+        assert left_component(f, h) == g
+        seen.add(_outcome(f + RatFun.identity(), h))
+    assert seen == {"none", "mismatch"}
 
 
 def test_one_level_power():
     decs = decompose_one_level(parse_ratfun("x^4"))
-    assert len(decs) == 1
-    assert decs[0].outer == parse_ratfun("x^2")
-    assert decs[0].inner == parse_ratfun("x^2")
+    assert decs == ((parse_ratfun("x^2"), parse_ratfun("x^2")),)
 
 
 def test_one_level_prime_degree_empty():
@@ -165,17 +165,18 @@ def test_one_level_flagship_classes(flagship):
     """
     decs = decompose_one_level(flagship)
     for dec in decs:
-        assert compose(dec.outer, dec.inner) == flagship
-    inner_degrees = sorted(d.inner.degree for d in decs)
+        assert type(dec) is tuple and len(dec) == 2
+        assert reduce(compose, dec) == flagship
+    inner_degrees = sorted(inner.degree for _, inner in decs)
     assert inner_degrees == [2, 3, 3, 4]
-    inners = [d.inner for d in decs]
+    inners = [inner for _, inner in decs]
     assert any(unit_linking(parse_ratfun("x*(x+6)/(x-3)"), h) for h in inners)
     assert any(unit_linking(
         parse_ratfun("x*(x^2-6*x+36)/(x^2+3*x+9)"), h) for h in inners)
     # pairwise inequivalent
     for i in range(len(decs)):
         for j in range(i + 1, len(decs)):
-            assert not equivalent(decs[i], decs[j])
+            assert not chains_equivalent(decs[i], decs[j])
 
 
 def test_all_chains_flagship(flagship):
@@ -184,38 +185,36 @@ def test_all_chains_flagship(flagship):
     length-3 chain, which is a third complete chain."""
     chains = all_chains(flagship)
     for chain in chains:
-        assert chain.target() == flagship
+        assert type(chain) is tuple
+        assert reduce(compose, chain) == flagship
         degrees = 1
-        for c in chain.components:
+        for c in chain:
             degrees *= c.degree
         assert degrees == 12
-    lengths = sorted(len(c.components) for c in chains)
+    lengths = sorted(len(c) for c in chains)
     assert lengths == [2, 2, 3]
     displayed_long = [parse_ratfun("x^3"), parse_ratfun("x*(x-12)/(x-3)"),
                       parse_ratfun("x*(x+6)/(x-3)")]
     displayed_short = [parse_ratfun("x^3*(x+24)/(x-3)"),
                        parse_ratfun("x*(x^2-6*x+36)/(x^2+3*x+9)")]
-    assert any(chains_equivalent(displayed_long, c.components)
-               for c in chains)
-    assert any(chains_equivalent(displayed_short, c.components)
-               for c in chains)
+    assert any(chains_equivalent(displayed_long, c) for c in chains)
+    assert any(chains_equivalent(displayed_short, c) for c in chains)
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
-            assert not chains_equivalent(chains[i].components,
-                                         chains[j].components)
+            assert not chains_equivalent(chains[i], chains[j])
 
 
 def test_all_chains_x8():
     chains = all_chains(parse_ratfun("x^8"))
     assert len(chains) == 1
-    assert chains[0].degrees == (2, 2, 2)
+    assert tuple(c.degree for c in chains[0]) == (2, 2, 2)
 
 
 def test_all_chains_x24_orderings():
     # polynomial chains all have the same length (the component multiset
     # {2,2,2,3} in every order); contrast with the flagship function
     chains = all_chains(parse_ratfun("x^24"))
-    assert sorted(c.degrees for c in chains) == [
+    assert sorted(tuple(c.degree for c in chain) for chain in chains) == [
         (2, 2, 2, 3), (2, 2, 3, 2), (2, 3, 2, 2), (3, 2, 2, 2)]
 
 
@@ -238,36 +237,30 @@ HEAVY_25B = (
 def test_all_chains_degree_30_relation_function():
     f = parse_ratfun(HEAVY_25B)
     chains = all_chains(f)
-    assert [c.degrees for c in chains] == [(5, 3, 2), (6, 5), (6, 5)]
-    assert all(c.target() == f for c in chains)
+    assert [tuple(c.degree for c in chain) for chain in chains] \
+        == [(5, 3, 2), (6, 5), (6, 5)]
+    assert all(reduce(compose, chain) == f for chain in chains)
 
 
 def test_all_chains_prime_degree():
     f = parse_ratfun("(x^3+2*x)/(x^2-5)")
     chains = all_chains(f)
     assert len(chains) == 1
-    assert chains[0].components == (f,)
+    assert chains[0] == (f,)
 
 
 def test_equivalent_by_explicit_unit():
-    d1 = Decomposition(parse_ratfun("x^2"), parse_ratfun("x^2"))
-    d2 = Decomposition(parse_ratfun("x^2/4"), parse_ratfun("2*x^2"))
-    assert equivalent(d1, d2)
-    assert equivalent(d1, d1)
+    d1 = (parse_ratfun("x^2"), parse_ratfun("x^2"))
+    d2 = (parse_ratfun("x^2/4"), parse_ratfun("2*x^2"))
+    assert chains_equivalent(d1, d2)
+    assert chains_equivalent(d1, d1)
 
 
 def test_equivalent_rejects_flagship_cross_split(flagship):
     decs = decompose_one_level(flagship)
-    two = next(d for d in decs if d.inner.degree == 2)
-    three = next(d for d in decs if d.inner.degree == 3)
-    assert not equivalent(two, three)
-
-
-def test_equivalent_different_targets():
-    d1 = Decomposition(parse_ratfun("x^2"), parse_ratfun("x^2"))
-    d2 = Decomposition(parse_ratfun("x^2"), parse_ratfun("x^3"))
-    with pytest.raises(DifferentTargetError):
-        equivalent(d1, d2)
+    two = next(d for d in decs if d[1].degree == 2)
+    three = next(d for d in decs if d[1].degree == 3)
+    assert not chains_equivalent(two, three)
 
 
 def _random_unit(rng):
@@ -281,21 +274,23 @@ def test_equivalence_relation_on_twisted_family():
     rng = random.Random(41)
     g = parse_ratfun("(x^2+3)/(x+1)")
     h = parse_ratfun("x^2-2*x")
-    base = Decomposition(g, h)
-    family = [base]
+    f = compose(g, h)
+    family = [(g, h)]
     for _ in range(4):
         w = _random_unit(rng)
-        family.append(Decomposition(
-            compose(g, unit_inverse(w)), compose(w, h)))
+        family.append((compose(g, unit_inverse(w)), compose(w, h)))
     for d in family:
-        assert compose(d.outer, d.inner) == compose(g, h)
-        assert equivalent(d, d)                       # reflexive
+        assert reduce(compose, d) == f
+        assert chains_equivalent(d, d)                # reflexive
     for d1 in family:
         for d2 in family:
-            assert equivalent(d1, d2)                 # symmetric + transitive
-    other = decompose_one_level(parse_ratfun("x^4"))[0]
-    with pytest.raises(DifferentTargetError):
-        equivalent(base, other)
+            assert chains_equivalent(d1, d2)          # symmetric + transitive
+    # decompose_one_level and all_chains return plain tuples of components
+    # that compose back to f, one of them in the family's class
+    for found in (decompose_one_level(f), all_chains(f)):
+        for d in found:
+            assert type(d) is tuple and reduce(compose, d) == f
+        assert sum(chains_equivalent(d, family[-1]) for d in found) == 1
 
 
 def test_divisibility_theorem_on_normal_components(flagship):
@@ -307,11 +302,11 @@ def test_divisibility_theorem_on_normal_components(flagship):
     for f in targets:
         if not is_normal_form(f):
             continue
-        for dec in decompose_one_level(f):
-            if not is_normal_form(dec.inner):
+        for _, inner in decompose_one_level(f):
+            if not is_normal_form(inner):
                 continue
-            assert poly_divrem(f.num, dec.inner.num)[1].is_zero
-            assert poly_divrem(f.den, dec.inner.den)[1].is_zero
+            assert poly_divrem(f.num, inner.num)[1].is_zero
+            assert poly_divrem(f.den, inner.den)[1].is_zero
             checked += 1
     assert checked >= 5
 
@@ -323,8 +318,7 @@ def test_soundness_small_planted_sample():
         h = _random_component(rng)
         f = compose(g, h)
         decs = decompose_one_level(f)
-        planted = Decomposition(g, h)
-        assert any(equivalent(d, planted) for d in decs)
+        assert any(chains_equivalent(d, (g, h)) for d in decs)
 
 
 def _random_component(rng):

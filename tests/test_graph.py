@@ -583,7 +583,7 @@ def test_modular_polynomial_vanishes_on_planted_double():
     base = self_replicable(4, 2, 40)
     p = modular_polynomial(parse_ratfun("x"), 2, PHI, 1)
     value = eval_modular_polynomial(p, substitute_power(base, 2),
-                                    base.to_laurent())
+                                    base.laurent)
     assert value.is_zero
 
 
