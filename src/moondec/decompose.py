@@ -19,6 +19,27 @@ A decomposition is the tuple of its components, outermost first: a pair
 (g, h) from decompose_one_level, a complete chain from all_chains.  Two
 chains of one target are equivalent when units link them component by
 component (unit_linking, chains_equivalent).
+
+Complete chains factor only the top function f.  Its splits
+fbar = g_i o h_i come in ascending inner degree, all h_i candidates of
+one normalization.  Two facts replace recursing into every component:
+
+(1) A chain is followed only through a split whose inner is
+indecomposable, and h_i is decomposable iff an earlier h_j has
+deg h_j | deg h_i and left_component(h_i, h_j) exists.  If h_i = k' o k
+with k indecomposable, k in candidate form is a candidate of lower degree
+that splits fbar, so its split came earlier.  Every chain through h_i ends
+in k, and an equivalent chain through k's split was already kept, so the
+chains_equivalent dedupe dropped it: skipping h_i changes neither the
+chains, their order nor their representatives.
+
+(2) An outer component is never factored.  A right component k of g_i
+makes k o h_i a right component of fbar (by Lüroth, the fields between
+Q(fbar) and Q(h_i) are among those between Q(fbar) and Q(x)), equivalent
+to the candidate h_k of a later split, so the right components of g_i are
+the left_component(h_k, h_i) that exist, one per class.  Through the outer's own units they become the candidates that
+decompose_one_level would find splitting it, and sorted in
+candidate_components order they give the same splits.
 """
 
 from __future__ import annotations
@@ -37,9 +58,11 @@ from moondec.errors import (
 from moondec.factorization import Factorization, factor, is_prime
 from moondec.polynomials import ONE, Poly
 from moondec.ratfun import (
+    INFINITY,
     RatFun,
     _homogenized,
     compose,
+    evaluate,
     is_normal_form,
     power_basis,
     to_normal_form,
@@ -154,6 +177,27 @@ def unit_linking(h1: RatFun, h2: RatFun):
     return w if compose(w, h1) == h2 else None
 
 
+def _splits(f: RatFun, normal, candidates) -> list:
+    """(h, outer, inner) for each candidate h that splits fbar, in order:
+    outer = u^-1 o g and inner = h o v^-1 for fbar = g o h, checked to
+    compose back to f.  normal is to_normal_form(f) = (u, v, fbar)."""
+    u, v, fbar = normal
+    u_inv = unit_inverse(u)
+    v_inv = unit_inverse(v)
+    found = []
+    for h in candidates:
+        g = left_component(fbar, h)
+        if g is None:
+            continue
+        outer = compose(u_inv, g)
+        inner = compose(h, v_inv)
+        if compose(outer, inner) != f:
+            raise VerificationFailureError(
+                "de-normalized decomposition does not compose back to f")
+        found.append((h, outer, inner))
+    return found
+
+
 def decompose_one_level(f: RatFun) -> tuple[tuple[RatFun, RatFun], ...]:
     """One (outer, inner) pair per equivalence class of decompositions of
     f, outer o inner = f.
@@ -166,21 +210,9 @@ def decompose_one_level(f: RatFun) -> tuple[tuple[RatFun, RatFun], ...]:
         raise InvalidInputError("decomposition needs degree >= 2")
     if is_prime(f.degree):
         return ()  # deg(g o h) = deg g * deg h, both at least 2
-    u, v, fbar = to_normal_form(f)
-    u_inv = unit_inverse(u)
-    v_inv = unit_inverse(v)
-    found = []
-    for h in candidate_components(fbar):
-        g = left_component(fbar, h)
-        if g is None:
-            continue
-        outer = compose(u_inv, g)
-        inner = compose(h, v_inv)
-        if compose(outer, inner) != f:
-            raise VerificationFailureError(
-                "de-normalized decomposition does not compose back to f")
-        found.append((outer, inner))
-    return tuple(found)
+    normal = to_normal_form(f)
+    return tuple((outer, inner) for _, outer, inner
+                 in _splits(f, normal, candidate_components(normal[2])))
 
 
 def chains_equivalent(c1, c2) -> bool:
@@ -201,26 +233,98 @@ def chains_equivalent(c1, c2) -> bool:
     return c1[0] == c2[0]
 
 
+def _candidate_form(k: RatFun) -> RatFun:
+    """The candidate in k's class under units on the left: w o k with a
+    zero at 0 and a pole at infinity, numerator and denominator monic.
+
+    w sends k(0) to 0 and k(infinity) to infinity; they differ whenever k
+    is a right component of a normal-form function, which maps 0 and
+    infinity to 0 and infinity."""
+    at_zero = evaluate(k, 0)
+    if k.num.degree > k.den.degree:
+        at_inf = INFINITY
+    elif k.num.degree == k.den.degree:
+        at_inf = k.num.coeff(k.num.degree)  # den is monic
+    else:
+        at_inf = 0
+    num = (0, 1) if at_zero == INFINITY else (1, -at_zero)
+    den = (0, 1) if at_inf == INFINITY else (1, -at_inf)
+    h = compose(unit(*num, *den), k)
+    return RatFun(h.num.monic(), h.den)
+
+
+def _known_splits(f: RatFun, rights: list[RatFun]) -> list:
+    """decompose_one_level(f) as _splits triples, from the right
+    components of f, one per class under units on the left, without
+    factoring.  Each right component k of f = G o k is k o v of
+    fbar = (u o G) o (k o v), and its candidate form is the candidate
+    that decompose_one_level would find; sorting puts the candidates in
+    candidate_components order."""
+    if not rights:
+        return []
+    normal = to_normal_form(f)
+    candidates = sorted(
+        (_candidate_form(compose(k, normal[1])) for k in rights),
+        key=lambda h: (h.num.degree, h.num.coeffs,
+                       h.den.degree, h.den.coeffs))
+    found = _splits(f, normal, candidates)
+    if len(found) != len(candidates):
+        raise VerificationFailureError("a right component does not split")
+    return found
+
+
+def _chains_from(f: RatFun, splits: list) -> tuple[tuple[RatFun, ...], ...]:
+    """All chains of f from its _splits triples (h, outer, inner), all
+    h in normal form under one unit v, in decompose_one_level order.
+
+    Only splits with an indecomposable inner are followed (1), and each
+    outer's right components are read off the other splits (2); see the
+    module docstring."""
+    if not splits:
+        return ((f,),)
+    out: list[tuple[RatFun, ...]] = []
+    decomposable = set()
+    for i, (h, outer, inner) in enumerate(splits):
+        if i in decomposable:
+            continue
+        rights = []
+        for j in range(i + 1, len(splits)):
+            hj = splits[j][0]
+            if hj.degree > h.degree and hj.degree % h.degree == 0:
+                k = left_component(hj, h)
+                if k is not None:
+                    rights.append(k)
+                    decomposable.add(j)
+        for left in _chains_from(outer, _known_splits(outer, rights)):
+            chain = left + (inner,)
+            if not any(chains_equivalent(chain, c) for c in out):
+                out.append(chain)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _chains_cached(f: RatFun) -> tuple[tuple[RatFun, ...], ...]:
     if f.degree < 2:
         return ((f,),)
-    splits = decompose_one_level(f)
-    if not splits:
-        return ((f,),)
-    out: list[tuple[RatFun, ...]] = []
-    for outer, inner in splits:
-        for left in _chains_cached(outer):
-            for right in _chains_cached(inner):
-                chain = left + right
-                if not any(chains_equivalent(chain, c) for c in out):
-                    out.append(chain)
-    return tuple(out)
+    pairs = decompose_one_level(f)
+    if len(pairs) < 2:
+        return pairs or ((f,),)  # one split: both components indecomposable
+    v = to_normal_form(f)[1]
+    return _chains_from(f, [(compose(inner, v), outer, inner)
+                            for outer, inner in pairs])
 
 
 def all_chains(f: RatFun) -> tuple[tuple[RatFun, ...], ...]:
     """All complete decomposition chains up to componentwise equivalence,
-    each a tuple of indecomposable components, outermost first."""
+    each a tuple of indecomposable components, outermost first.
+
+    Only num(fbar) and den(fbar) of f are factored.  A split is followed
+    only when its inner is indecomposable, as a chain through a
+    decomposable inner is equivalent to one through that inner's last
+    component, whose split comes first (1).  An outer component's right
+    components are those of the parent's later splits, taken off their
+    inner by left_component (2); see the module docstring.  The result is
+    the one of recursing into both components of every split."""
     if f.degree < 1:
         raise InvalidInputError("chains need degree >= 1")
     return _chains_cached(f)

@@ -89,14 +89,18 @@ def _pm_deriv(a, p):
 
 
 def _pm_powmod(base, e, mod, p):
-    result = [1]
+    """base^e mod (mod, p) by squaring from the low bit: e.bit_length() - 1
+    squarings and one product less than e has set bits."""
+    result = None
     base = pm_rem(base, mod, p)
     while e:
         if e & 1:
-            result = pm_rem(_pm_mul(result, base, p), mod, p)
-        base = pm_rem(_pm_mul(base, base, p), mod, p)
+            result = base if result is None else \
+                pm_rem(_pm_mul(result, base, p), mod, p)
         e >>= 1
-    return result
+        if e:
+            base = pm_rem(_pm_mul(base, base, p), mod, p)
+    return [1] if result is None else result
 
 
 def _equal_degree_split(g, d, p):

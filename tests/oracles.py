@@ -363,3 +363,27 @@ def all_edges_chains(nodes, edges, src, dst, splits):
     paths.sort(key=lambda p: (-len(p),
                               tuple((e.src, e.dst, e.power) for e in p)))
     return paths
+
+
+def chains_by_recursion(f):
+    """All complete decomposition chains of f by recursing into both
+    components of every split that ``decompose_one_level`` finds, keeping
+    the first chain of each ``chains_equivalent`` class: the search that
+    ``all_chains`` prunes, with the same order and representatives."""
+    from moondec.decompose import chains_equivalent, decompose_one_level
+    memo = {}
+
+    def chains(g):
+        if g not in memo:
+            splits = decompose_one_level(g) if g.degree >= 2 else ()
+            out = []
+            for outer, inner in splits:
+                for left in chains(outer):
+                    for right in chains(inner):
+                        chain = left + right
+                        if not any(chains_equivalent(chain, c) for c in out):
+                            out.append(chain)
+            memo[g] = tuple(out) or ((g,),)
+        return memo[g]
+
+    return chains(f)

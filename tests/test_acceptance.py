@@ -9,14 +9,12 @@ loudly if the mathematics ever came out differently.  The decisions log
 outside the package carries the full analysis.
 """
 
-import json
 import random
 import time
 from functools import reduce
 
 import pytest
 
-from conftest import FLAGSHIP_TEXT
 from moondec.decompose import all_chains, chains_equivalent, decompose_one_level
 from moondec.graph import (
     GraphEdge,

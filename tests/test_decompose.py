@@ -1,9 +1,13 @@
+import importlib.util
+import json
 import random
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
-from oracles import outer_by_nullspace
+from conftest import FLAGSHIP_TEXT
+from oracles import chains_by_recursion, outer_by_nullspace
 
 from moondec.decompose import (
     all_chains,
@@ -17,10 +21,18 @@ from moondec.errors import (
     DegreeMismatchError,
     InvalidInputError,
     NotNormalFormError,
+    VerificationFailureError,
 )
 from moondec.parsing import parse_ratfun
-from moondec.polynomials import ONE, Poly, poly_divrem
-from moondec.ratfun import RatFun, compose, is_normal_form, unit, unit_inverse
+from moondec.polynomials import Poly, poly_divrem
+from moondec.ratfun import (
+    RatFun,
+    compose,
+    is_normal_form,
+    to_normal_form,
+    unit,
+    unit_inverse,
+)
 
 
 def test_candidates_power_of_x():
@@ -377,3 +389,67 @@ def test_prime_degree_returns_before_normal_form_and_factor(monkeypatch):
     assert calls == []
     assert decompose_one_level(parse_ratfun("x^4+x^2"))  # degree 4 splits
     assert "factor" in calls and "to_normal_form" in calls
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _chain_inputs():
+    """Functions with many chains: the benchmark's relation functions of
+    the generated catalog with e >= 3 (the degree-30 one too; 1A->9B are
+    those of the bundled catalog), one seeded composition of each of its
+    shapes, x^8, x^24, the flagship, and compositions with
+    x^2 + 1/x^2, whose degree-2 right components x^2, x + 1/x and x - 1/x
+    come off the parent's splits out of candidate order."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    relations = json.loads((PERFBENCH / "golden.json").read_text())
+    texts = [x["text"] for x in gen.decompose_inputs(1, relations["relations"])
+             if x["kind"] != "prime"]
+    texts += ["x^8", "x^24", FLAGSHIP_TEXT, HEAVY_25B]
+    g = parse_ratfun("(x^4+1)/x^2")
+    return [parse_ratfun(t) for t in dict.fromkeys(texts)] + [
+        compose(g, parse_ratfun(h)) for h in ["x^3+2*x", "(x^2+1)/(x-2)"]]
+
+
+def test_all_chains_matches_the_recursion_into_every_component():
+    """Following only indecomposable inners and reading each outer's
+    right components off its parent's splits changes neither the chains,
+    their order nor their representatives."""
+    from moondec import decompose as decompose_module
+
+    degrees = set()
+    for f in _chain_inputs():
+        decompose_module._chains_cached.cache_clear()
+        chains = all_chains(f)
+        assert chains == chains_by_recursion(f), str(f)
+        degrees |= {tuple(c.degree for c in chain) for chain in chains}
+    assert {(2, 2, 2, 2), (5, 3, 2), (2, 2, 3, 2)} <= degrees
+
+
+def test_all_chains_factors_only_the_top_function(monkeypatch):
+    from moondec import decompose as decompose_module
+
+    calls = []
+    real = decompose_module.factor
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(decompose_module, "factor", counted)
+    for f in _chain_inputs():
+        decompose_module._chains_cached.cache_clear()
+        calls.clear()
+        all_chains(f)
+        assert calls == [] or calls == [to_normal_form(f)[2].num,
+                                        to_normal_form(f)[2].den], str(f)
+
+
+def test_a_known_right_component_that_does_not_split_fails_verification():
+    from moondec.decompose import _known_splits
+
+    with pytest.raises(VerificationFailureError):
+        _known_splits(parse_ratfun("x^4+x"), [parse_ratfun("x^2")])

@@ -9,6 +9,7 @@ from moondec.polynomials import ONE, Poly, X
 from oracles import (
     FLAGSHIP_NUM,
     has_integer_factor_pair,
+    naive_divrem,
     naive_eval,
     naive_mul,
 )
@@ -366,3 +367,33 @@ def test_x_is_split_off_before_any_prime_is_chosen(monkeypatch):
                 key=lambda fm: (fm[0].degree, fm[0].coeffs)))
     assert factor(Poly.from_coeffs(FLAGSHIP_NUM)).factors[0] == (X, 3)
     assert constants and all(constants)
+
+
+def test_powmod_squares_once_per_bit_and_matches_repeated_products(
+        monkeypatch):
+    """base^e mod (f, p) takes e.bit_length() - 1 squarings and one
+    product less than e has set bits, and equals e products mod f."""
+    from moondec import factorization
+
+    p = 101
+    f = [3, 0, 7, 1, 1]  # monic
+    base = [5, 99, 0, 42, 17, 8]  # above deg f: reduced first
+    calls = []
+    real = factorization._pm_mul
+
+    def counted(a, b, q):
+        calls.append(1)
+        return real(a, b, q)
+
+    monkeypatch.setattr(factorization, "_pm_mul", counted)
+    for e, products in [(1, 0), (2, 1), (3, 2), (5, 3), (7, 4)]:
+        calls.clear()
+        got = factorization._pm_powmod(base, e, f, p)
+        assert len(calls) == products
+        want = [1]
+        for _ in range(e):
+            want = [int(c) % p
+                    for c in naive_divrem(naive_mul(want, base), f)[1]]
+            while want and want[-1] == 0:
+                want.pop()
+        assert got == want

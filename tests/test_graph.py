@@ -31,7 +31,7 @@ from moondec.graph import (
 )
 from moondec.parsing import parse_ratfun
 from moondec.polynomials import ONE, Poly
-from moondec.ratfun import compose, ratfun_text
+from moondec.ratfun import compose
 from moondec.series import (
     QSeries,
     eval_ratfun_at_series,

@@ -7,7 +7,7 @@ import pytest
 from moondec import parsing
 from moondec.errors import RatFunSyntaxError, ZeroDenominatorError
 from moondec.parsing import parse_ratfun
-from moondec.polynomials import Poly, X, ONE
+from moondec.polynomials import Poly, ONE
 from moondec.ratfun import RatFun, ratfun_text
 
 
