@@ -3,12 +3,29 @@
 The function is first moved to normal form fbar = u o f o v.  For a
 normal-form composition fbar = g o h with normal-form components, the
 numerator and denominator of h divide those of fbar, so every candidate
-inner component is a pair of monic divisors (A, B) read off the two
-factorizations, pruned by the normal-form shape: deg A > deg B, A(0) = 0,
-deg A a proper nontrivial divisor of deg fbar.  For each candidate the
-outer component g is read off the h-expansion of num(fbar) and den(fbar)
-(see left_component; von zur Gathen, JSC 1990), and successes are
-de-normalized as (u^-1 o g, h o v^-1).
+inner component is a pair of coprime monic divisors A | num(fbar),
+B | den(fbar), pruned by the normal-form shape: deg A > deg B, A(0) = 0,
+deg A a proper nontrivial divisor of n = deg fbar, hence deg A <= n/2.
+For each candidate the outer component g is read off the h-expansion of
+num(fbar) and den(fbar) (see left_component; von zur Gathen, JSC 1990),
+and successes are de-normalized as (u^-1 o g, h o v^-1).
+
+Only num(fbar) is factored: A fixes the one B that can work.  Let
+fbar = g o (A/B) with g = P/Q, m = deg g.  Then P(0) = 0, deg Q < deg P
+and, with constants k, k',
+num(fbar) = k * sum_(i>=1) P_i A^i B^(m-i) and
+den(fbar) = k' * sum_i Q_i A^i B^(m-i).  Modulo A,
+num(fbar)/A = k P_1 B^(m-1) and den(fbar) = k' Q_0 B^m, with Q_0 != 0 as
+P and Q are coprime.  If P_1 = 0 then A^2 | num(fbar).  So when A^2 does
+not divide num(fbar), num(fbar)/A is a unit mod A, and as deg B < deg A,
+B = monic(den(fbar) * (num(fbar)/A)^-1 mod A).  The pair is kept when B
+divides den(fbar) (A and B are then coprime, as num(fbar) and den(fbar)
+are); an A whose num(fbar)/A is no unit mod A, or whose B does not
+divide den(fbar), has no split.  When A^2 | num(fbar), which needs a
+multiple zero of fbar at 0 (x^n, the flagship), A is paired with every
+monic divisor of den(fbar) of lower degree, and den(fbar) is factored,
+once.  Candidates stay in the order of the full enumeration, by A, then
+by B, so the splits come in the same order.
 
 No two candidates are equivalent under the unit twist
 (g, h) ~ (g o w^-1, w o h), so nothing is de-duplicated: each has h(0) = 0
@@ -20,9 +37,10 @@ A decomposition is the tuple of its components, outermost first: a pair
 chains of one target are equivalent when units link them component by
 component (unit_linking, chains_equivalent).
 
-Complete chains factor only the top function f.  Its splits
-fbar = g_i o h_i come in ascending inner degree, all h_i candidates of
-one normalization.  Two facts replace recursing into every component:
+Complete chains factor only the top function f: num(fbar), and
+den(fbar) when some A^2 divides num(fbar).  Its splits fbar = g_i o h_i
+come in ascending inner degree, all h_i candidates of one
+normalization.  Two facts replace recursing into every component:
 
 (1) A chain is followed only through a split whose inner is
 indecomposable, and h_i is decomposable iff an earlier h_j has
@@ -37,9 +55,10 @@ chains, their order nor their representatives.
 makes k o h_i a right component of fbar (by Lüroth, the fields between
 Q(fbar) and Q(h_i) are among those between Q(fbar) and Q(x)), equivalent
 to the candidate h_k of a later split, so the right components of g_i are
-the left_component(h_k, h_i) that exist, one per class.  Through the outer's own units they become the candidates that
-decompose_one_level would find splitting it, and sorted in
-candidate_components order they give the same splits.
+the left_component(h_k, h_i) that exist, one per class.  Through the
+outer's own units they become the candidates that decompose_one_level
+would find splitting it, and sorted in candidate_components order they
+give the same splits.
 """
 
 from __future__ import annotations
@@ -56,7 +75,13 @@ from moondec.errors import (
     VerificationFailureError,
 )
 from moondec.factorization import Factorization, factor, is_prime
-from moondec.polynomials import ONE, Poly
+from moondec.polynomials import (
+    ONE,
+    Poly,
+    poly_divrem,
+    poly_exact_div,
+    poly_inverse_mod,
+)
 from moondec.ratfun import (
     INFINITY,
     RatFun,
@@ -71,29 +96,52 @@ from moondec.ratfun import (
 )
 
 
-def _monic_divisors(fact: Factorization) -> list[Poly]:
-    """All monic divisors, sorted by degree then coefficient sequence."""
+def _monic_divisors(fact: Factorization, top: int) -> list[Poly]:
+    """The monic divisors of degree at most top, sorted by degree then
+    coefficient sequence; a partial product is dropped as soon as its
+    degree passes top."""
     divisors = [ONE]
     for p, mult in fact.factors:
-        powers = [ONE]
-        for _ in range(mult):
-            powers.append(powers[-1] * p)
-        divisors = [d * pk for d in divisors for pk in powers]
+        grown = []
+        for d in divisors:
+            grown.append(d)
+            for _ in range(mult):
+                d = d * p
+                if d.degree > top:
+                    break
+                grown.append(d)
+        divisors = grown
     return sorted(divisors, key=lambda d: (d.degree, d.coeffs))
 
 
 def candidate_components(fbar: RatFun) -> list[RatFun]:
-    """Divisor pairs satisfying the normal-form candidate constraints, as
-    RatFun(A, B): A | num(fbar) and B | den(fbar) are coprime and monic."""
+    """The candidates that can split fbar, as RatFun(A, B): A | num(fbar)
+    and B | den(fbar) coprime and monic, deg A > deg B, A(0) = 0 and
+    deg A a proper nontrivial divisor of deg fbar.  Only num(fbar) is
+    factored: when A^2 does not divide num(fbar), A fixes the one B that
+    can work (see the module docstring); otherwise A is paired with every
+    monic divisor of den(fbar) of lower degree, factored once."""
     if not is_normal_form(fbar):
         raise NotNormalFormError("candidate enumeration needs normal form")
-    deg = fbar.degree
-    a_parts = [a for a in _monic_divisors(factor(fbar.num))
-               if 1 < a.degree < deg and deg % a.degree == 0
-               and a.coeff(0) == 0]
-    b_parts = _monic_divisors(factor(fbar.den))
-    return [RatFun(a, b) for a in a_parts for b in b_parts
-            if b.degree < a.degree]
+    num, den, deg = fbar.num, fbar.den, fbar.degree
+    b_parts = None
+    out = []
+    for a in _monic_divisors(factor(num), deg // 2):
+        if a.degree < 2 or deg % a.degree or a.coeff(0) != 0:
+            continue
+        rest = poly_divrem(poly_exact_div(num, a), a)[1]
+        if rest.is_zero:
+            if b_parts is None:
+                b_parts = _monic_divisors(factor(den), deg // 2 - 1)
+            out += [RatFun(a, b) for b in b_parts if b.degree < a.degree]
+            continue
+        inv = poly_inverse_mod(rest, a)
+        if inv is None:
+            continue  # no split: num/A is a unit mod A for every split
+        b = poly_divrem(poly_divrem(den, a)[1] * inv, a)[1].monic()
+        if poly_divrem(den, b)[1].is_zero:
+            out.append(RatFun(a, b))
+    return out
 
 
 def _expand(p: Poly, basis: list[Poly]):
@@ -182,13 +230,13 @@ def _splits(f: RatFun, normal, candidates) -> list:
     outer = u^-1 o g and inner = h o v^-1 for fbar = g o h, checked to
     compose back to f.  normal is to_normal_form(f) = (u, v, fbar)."""
     u, v, fbar = normal
-    u_inv = unit_inverse(u)
-    v_inv = unit_inverse(v)
     found = []
     for h in candidates:
         g = left_component(fbar, h)
         if g is None:
             continue
+        if not found:
+            u_inv, v_inv = unit_inverse(u), unit_inverse(v)
         outer = compose(u_inv, g)
         inner = compose(h, v_inv)
         if compose(outer, inner) != f:
@@ -318,7 +366,8 @@ def all_chains(f: RatFun) -> tuple[tuple[RatFun, ...], ...]:
     """All complete decomposition chains up to componentwise equivalence,
     each a tuple of indecomposable components, outermost first.
 
-    Only num(fbar) and den(fbar) of f are factored.  A split is followed
+    Only num(fbar) of f is factored, and den(fbar) when some candidate A
+    has A^2 | num(fbar) (see candidate_components).  A split is followed
     only when its inner is indecomposable, as a chain through a
     decomposable inner is equivalent to one through that inner's last
     component, whose split comes first (1).  An outer component's right

@@ -298,6 +298,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly.make(fa, fa[-1])
 
 
+def poly_inverse_mod(a: Poly, m: Poly):
+    """The s with deg s < deg m and s*a = 1 mod m, or None when a and m
+    share a factor; m has degree >= 1.  Extended Euclid over Q, carrying
+    only the cofactor of a: s_i * a = r_i mod m with deg s_i < deg m."""
+    r0, r1 = m, poly_divrem(a, m)[1]
+    s0, s1 = ZERO, ONE
+    while not r1.is_zero:
+        q, r = poly_divrem(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree > 0:
+        return None
+    return Poly.make([n * r0.den for n in s0.nums], s0.den * r0.nums[0])
+
+
 def squarefree_decomposition(a: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: a = lc(a) * prod(part^multiplicity).
 

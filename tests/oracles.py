@@ -387,3 +387,37 @@ def chains_by_recursion(f):
         return memo[g]
 
     return chains(f)
+
+
+def candidates_by_both_factorizations(fbar):
+    """Every candidate inner component of a normal-form ``RatFun`` fbar,
+    in the order the library tries them: each monic divisor A of num(fbar)
+    with A(0) = 0 and deg A a proper nontrivial divisor of deg fbar, paired
+    with each monic divisor B of den(fbar) of lower degree, both sorted by
+    degree, then by ascending coefficients.  num(fbar) and den(fbar) are
+    both factored, by sympy: the enumeration that reading B off modulo A
+    replaces."""
+    import sympy as sp
+
+    from moondec.polynomials import Poly
+    from moondec.ratfun import RatFun
+    x = sp.Symbol("x")
+
+    def monic_divisors(p):
+        expr = sum(sp.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(p.coeffs))
+        out = [[Fraction(1)]]
+        for fac, mult in sp.factor_list(expr, x)[1]:
+            q = [Fraction(int(c.p), int(c.q))
+                 for c in reversed(sp.Poly(fac, x).monic().all_coeffs())]
+            out = [naive_mul(d, naive_pow(q, k))
+                   for d in out for k in range(mult + 1)]
+        return sorted(out, key=lambda d: (len(d), tuple(d)))
+
+    deg = fbar.degree
+    a_parts = [a for a in monic_divisors(fbar.num)
+               if 2 < len(a) <= deg and deg % (len(a) - 1) == 0
+               and a[0] == 0]
+    b_parts = monic_divisors(fbar.den)
+    return [RatFun(Poly.from_coeffs(a), Poly.from_coeffs(b))
+            for a in a_parts for b in b_parts if len(b) < len(a)]

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 from conftest import FLAGSHIP_TEXT
-from oracles import chains_by_recursion, outer_by_nullspace
+from oracles import (
+    candidates_by_both_factorizations,
+    chains_by_recursion,
+    outer_by_nullspace,
+)
 
 from moondec.decompose import (
     all_chains,
@@ -429,7 +433,15 @@ def test_all_chains_matches_the_recursion_into_every_component():
     assert {(2, 2, 2, 2), (5, 3, 2), (2, 2, 3, 2)} <= degrees
 
 
+def _has_square_candidate(fbar):
+    """Whether some candidate numerator A of fbar has A^2 | num(fbar)."""
+    return any(poly_divrem(fbar.num, a * a)[1].is_zero for a in
+               {h.num for h in candidates_by_both_factorizations(fbar)})
+
+
 def test_all_chains_factors_only_the_top_function(monkeypatch):
+    """factor sees nothing, or num(fbar), or num(fbar) then den(fbar):
+    den(fbar) only when some candidate A has A^2 | num(fbar)."""
     from moondec import decompose as decompose_module
 
     calls = []
@@ -440,12 +452,103 @@ def test_all_chains_factors_only_the_top_function(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(decompose_module, "factor", counted)
+    seen = set()
     for f in _chain_inputs():
         decompose_module._chains_cached.cache_clear()
         calls.clear()
         all_chains(f)
-        assert calls == [] or calls == [to_normal_form(f)[2].num,
-                                        to_normal_form(f)[2].den], str(f)
+        fbar = to_normal_form(f)[2]
+        if calls:
+            both = _has_square_candidate(fbar)
+            assert calls == [fbar.num] + [fbar.den] * both, str(f)
+            seen.add(both)
+    assert seen == {False, True}
+
+
+def _double_zero_compositions():
+    """Seeded normal-form g o h whose outer g has a double zero at 0, so
+    that A = num(h) has A^2 | num(g o h), with non-constant den(h)."""
+    rng = random.Random(34)
+    out = []
+    while len(out) < 6:
+        m, d = rng.choice([(2, 2), (3, 2), (2, 3)])
+        g = RatFun.make(
+            Poly.from_coeffs([0, 0] + [rng.randint(-4, 4)
+                                       for _ in range(m - 2)] + [1]),
+            Poly.from_coeffs([rng.randint(1, 5)] + [rng.randint(-3, 3)
+                                                    for _ in range(m - 2)]))
+        h = RatFun.make(
+            Poly.from_coeffs([0] + [rng.randint(-5, 5)
+                                    for _ in range(d - 1)] + [1]),
+            Poly.from_coeffs([rng.randint(1, 6)] + [rng.randint(-3, 3)
+                                                    for _ in range(d - 2)]
+                             + [1]))
+        if g.degree == m and h.degree == d and h.den.degree > 0:
+            out.append(compose(g, h))
+    return out
+
+
+def _one_level_inputs():
+    """The benchmark's decompose inputs of seeds 1-3 but the prime-degree
+    ones (the degree-30 1A->25B r=5 included), powers of x, the flagship,
+    compositions with (x^4+1)/x^2 and seeded compositions whose outer
+    has a double zero at 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    relations = json.loads((PERFBENCH / "golden.json").read_text())
+    texts = [x["text"] for seed in (1, 2, 3)
+             for x in gen.decompose_inputs(seed, relations["relations"])
+             if x["kind"] != "prime"]
+    texts += ["x^4", "x^12", "x^24", FLAGSHIP_TEXT]
+    g = parse_ratfun("(x^4+1)/x^2")
+    return [parse_ratfun(t) for t in dict.fromkeys(texts)] + [
+        compose(g, parse_ratfun(h)) for h in ["x^3+2*x", "(x^2+1)/(x-2)"]
+    ] + _double_zero_compositions()
+
+
+def test_one_level_matches_the_both_factorization_enumeration():
+    """Reading each A's B off num(fbar) modulo A drops only candidates
+    that do not split: decompose_one_level finds the splits, in the order
+    and with the representatives, of trying every pair of a divisor of
+    num(fbar) and a divisor of den(fbar)."""
+    paths = set()
+    for f in _one_level_inputs():
+        u, v, fbar = to_normal_form(f)
+        oracle = candidates_by_both_factorizations(fbar)
+        rest = iter(oracle)  # the candidates are a subsequence of oracle's
+        assert all(h in rest for h in candidate_components(fbar)), str(f)
+        expected = []
+        for h in oracle:
+            g = left_component(fbar, h)
+            if g is not None:
+                expected.append((compose(unit_inverse(u), g),
+                                 compose(h, unit_inverse(v))))
+                square = poly_divrem(fbar.num, h.num * h.num)[1].is_zero
+                paths.add((square, h.den.degree > 0))
+        assert decompose_one_level(f) == tuple(expected), str(f)
+    # splits with a non-constant B on both paths, read off and enumerated
+    assert {(False, True), (True, True)} <= paths
+
+
+def test_splits_invert_the_normalizing_units_only_for_a_split(monkeypatch):
+    from moondec import decompose as decompose_module
+
+    calls = []
+    real = decompose_module.unit_inverse
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(decompose_module, "unit_inverse", counted)
+    # degree 4 and 6, not in normal form, indecomposable
+    for text in ["(x^4+x+1)/(x^2+3)", "(x^6+x+2)/(x-1)"]:
+        assert decompose_one_level(parse_ratfun(text)) == ()
+    assert calls == []
+    assert decompose_one_level(parse_ratfun("(x^4+1)/(x^2-3)"))
+    assert len(calls) == 2
 
 
 def test_a_known_right_component_that_does_not_split_fails_verification():

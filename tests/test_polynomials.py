@@ -18,6 +18,7 @@ from moondec.polynomials import (
     combine,
     poly_divrem,
     poly_gcd,
+    poly_inverse_mod,
     poly_text,
     squarefree_decomposition,
 )
@@ -283,6 +284,51 @@ def sympy_gcd(a, b):
 
     g = to_sympy(a).gcd(to_sympy(b)).monic()
     return [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+
+
+def test_inverse_mod_matches_sympy_invert():
+    """poly_inverse_mod against sympy.invert over Q, on seeded pairs that
+    are coprime, share a planted factor, or have a divisible by m."""
+    import sympy as sp
+    x = sp.Symbol("x")
+
+    def to_sympy(p):
+        return sp.Poly([sp.Rational(c.numerator, c.denominator)
+                        for c in reversed(p.coeffs)], x, domain="QQ")
+
+    rng = random.Random(34)
+
+    def rand(degree):
+        return Poly.from_coeffs(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(degree)] + [rng.choice([1, -2, 3, Fraction(1, 5)])])
+
+    kinds = set()
+    for k in range(60):
+        m = rand(rng.randint(1, 8))
+        a = rand(rng.randint(0, 12))
+        if k % 4 == 1:
+            common = rand(rng.randint(1, 3))
+            m, a = m * common, a * common
+        elif k % 4 == 2:
+            a = a * m
+        got = poly_inverse_mod(a, m)
+        try:
+            want = sp.invert(to_sympy(a), to_sympy(m))
+        except sp.polys.polyerrors.NotInvertible:
+            assert got is None, (a, m)
+            kinds.add("none")
+            continue
+        assert_canonical(got)
+        assert got.degree < m.degree
+        assert list(got.coeffs) == [Fraction(int(c.p), int(c.q)) for c
+                                    in reversed(want.all_coeffs())]
+        assert poly_divrem(got * a - ONE, m)[1].is_zero
+        kinds.add("unit")
+    assert kinds == {"none", "unit"}
+    # a constant modulo m inverts to a constant
+    assert poly_inverse_mod(P(4, 0, 2), P(0, 0, 1)) == P(Fraction(1, 4))
+    assert poly_inverse_mod(P(0, 0, 1), P(0, 0, 1)) is None
 
 
 def _count_certificates(monkeypatch):
